@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConvConfig, DctmConfig, to_flat
+from .config import DctmConfig, to_flat
 from .conv import receptive_field
 from .data import MODALITIES, load_split_sessions
 from .errors import ConfigError

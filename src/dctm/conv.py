@@ -26,7 +26,6 @@ class ConvLayerSpec:
     out_channels: int
     kernel_size: int
     dilation: int = 1
-    has_bias: bool = True
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
@@ -102,8 +101,7 @@ class ConvLayer(Module):
         self.weight = xavier_uniform(
             rng, (spec.out_channels, spec.in_channels, spec.kernel_size),
             fan_in=fan_in, fan_out=fan_out, dtype=dtype)
-        self.bias = zeros((spec.out_channels,), dtype=dtype, requires_grad=True) \
-            if spec.has_bias else None
+        self.bias = zeros((spec.out_channels,), dtype=dtype, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return dilated_conv1d(x, self.weight, self.bias, self.spec.dilation)
@@ -127,7 +125,6 @@ class ConvStack(Module):
                     f"adjacent conv layers disagree on channels: {a.out_channels} -> {b.in_channels}")
         if activation not in ("relu", "tanh", "none"):
             raise ConfigError(f"unknown conv activation '{activation}'")
-        self.specs = list(specs)
         self.activation = activation
         self.layers = ModuleList([ConvLayer(s, rng, dtype=dtype) for s in specs])
 
@@ -140,10 +137,6 @@ class ConvStack(Module):
                 elif self.activation == "tanh":
                     x = x.tanh()
         return x
-
-    @property
-    def out_channels(self) -> int:
-        return self.specs[-1].out_channels
 
 
 def receptive_field(specs: list[ConvLayerSpec]) -> int:

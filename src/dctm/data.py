@@ -354,17 +354,17 @@ def batch_windows(windows: list[Window], batch_size: int,
 def overlap_average(T: int, predictions) -> np.ndarray:
     """Average per-window scores back into one per-frame trajectory.
 
-    `predictions` yields (start, scores, mask) triples; masked positions
-    contribute nothing. Every frame must be covered at least once.
+    `predictions` yields (start, scores) pairs; scores past the last
+    frame (a window's zero padding) are dropped. Every frame must be
+    covered at least once.
     """
     total = np.zeros(T, dtype=np.float64)
     count = np.zeros(T, dtype=np.int64)
-    for start, scores, mask in predictions:
+    for start, scores in predictions:
         scores = np.asarray(scores, dtype=np.float64)
         n = min(scores.shape[0], T - start)
-        live = np.asarray(mask[:n], dtype=bool)
-        total[start:start + n] += np.where(live, scores[:n], 0.0)
-        count[start:start + n] += live
+        total[start:start + n] += scores[:n]
+        count[start:start + n] += 1
     uncovered = count == 0
     if uncovered.any():
         raise DataError(

@@ -31,7 +31,6 @@ class ConcatFusion(Module):
     def __init__(self, in_dims: list[int], hidden: int, rng: np.random.Generator,
                  dtype=np.float32):
         super().__init__()
-        self.in_dims = list(in_dims)
         self.proj = Linear(sum(in_dims), hidden, rng, dtype=dtype)
 
     def __call__(self, streams: list[Tensor], names: list[str]) -> Tensor:
@@ -85,8 +84,6 @@ class GatedFusion(Module):
         super().__init__()
         if not in_dims:
             raise ConfigError("gated fusion needs at least one modality")
-        self.in_dims = list(in_dims)
-        self.hidden = hidden
         if len(in_dims) == 1:
             # degenerate single-modality case: plain tanh transform
             self.solo = Linear(in_dims[0], hidden, rng, dtype=dtype)

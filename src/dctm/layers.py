@@ -66,21 +66,16 @@ class Linear(Module):
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float32, zero_init: bool = False):
+                 dtype=np.float32, zero_init: bool = False):
         super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         if zero_init:
             self.weight = zeros((in_dim, out_dim), dtype=dtype, requires_grad=True)
         else:
             self.weight = xavier_uniform(rng, (in_dim, out_dim), dtype=dtype)
-        self.bias = zeros((out_dim,), dtype=dtype, requires_grad=True) if bias else None
+        self.bias = zeros((out_dim,), dtype=dtype, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return x @ self.weight + self.bias
 
 
 class LayerNorm(Module):

@@ -11,9 +11,9 @@ from .tensor import Tensor
 class Adam:
     """Standard Adam: m/v moment tracking, bias-corrected update.
 
-    Parameters are (name, tensor) pairs; names surface in NaN-gradient
-    aborts and keep checkpoint/state ordering stable. A missing ``.grad``
-    counts as an all-zero gradient.
+    Parameters are (name, tensor) pairs; names surface in non-finite
+    gradient aborts and keep checkpoint/state ordering stable. A missing
+    ``.grad`` counts as an all-zero gradient.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-6,
@@ -35,8 +35,9 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if np.isnan(g).any():
-                raise NumericalError(f"NaN gradient in parameter '{name}' at step {self.t}")
+            if not np.isfinite(g).all():
+                raise NumericalError(
+                    f"non-finite gradient in parameter '{name}' at step {self.t}")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / bc1

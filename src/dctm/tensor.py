@@ -9,7 +9,7 @@ reverse topological order and accumulates gradients into ``.grad``.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,17 +81,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -174,9 +165,6 @@ class Tensor:
         a = self
         return Tensor._op(-self.data, (a,), lambda g: (-g,))
 
-    def scale(self, c: float) -> "Tensor":
-        return self * c
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -255,9 +243,6 @@ class Tensor:
 
         return Tensor._op(out, (a, b), bw)
 
-    def matmul(self, other):
-        return self @ other
-
     # -- shape manipulation -------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -274,22 +259,6 @@ class Tensor:
         inv = tuple(np.argsort(axes))
         out = self.data.transpose(axes)
         return Tensor._op(out, (a,), lambda g: (g.transpose(inv),))
-
-    def swapaxes(self, i: int, j: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[i], axes[j] = axes[j], axes[i]
-        return self.transpose(tuple(axes))
-
-    def __getitem__(self, idx) -> "Tensor":
-        a = self
-        out = self.data[idx]
-
-        def bw(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            return (full,)
-
-        return Tensor._op(out, (a,), bw)
 
 
 def _normalize_axes(axis, ndim):
@@ -358,18 +327,6 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return Tensor._op(out, tensors, bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
 
 
 # -- parameter creation -----------------------------------------------------

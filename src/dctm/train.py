@@ -163,18 +163,14 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
                      cfg: DctmConfig) -> dict[str, np.ndarray]:
     """Per-frame scores for already-normalized sessions, keyed by session.key."""
     out = {}
-    eval_rng = np.random.default_rng(0)  # unused: dropout is off at eval
+    eval_rng = np.random.default_rng(0)
     with no_grad():
         for session in sessions:
             windows = make_windows(session, cfg.data.window, cfg.data.stride)
             preds = []
             for batch in batch_windows(windows, cfg.optim.batch_size, dtype=cfg.dtype):
                 scores = model(batch.features, eval_rng, training=False).data
-                for row in range(batch.size):
-                    # average everywhere; validity masking is applied by the
-                    # caller when scoring, not when reassembling
-                    in_range = np.arange(cfg.data.window) < session.num_frames - batch.starts[row]
-                    preds.append((batch.starts[row], scores[row], in_range))
+                preds.extend(zip(batch.starts, scores))
             out[session.key] = overlap_average(session.num_frames, preds)
     return out
 
@@ -375,24 +371,26 @@ def load_run(run_dir, overrides: dict[str, str] | None = None):
     return cfg, model, stats, meta
 
 
-def _restore(model: DctmModel, run_dir, which: str) -> Path:
+def _open_split(run_dir, split: str, which: str, overrides, require_labels: bool):
+    """(config, model with the `which` checkpoint, normalized split, checkpoint path)."""
+    cfg, model, stats, _ = load_run(run_dir, overrides)
     if which not in ("best", "last"):
         raise ConfigError(f"checkpoint selector must be 'best' or 'last', got {which!r}")
     path = Path(run_dir) / f"checkpoint.{which}.dctm"
     restore_into(list(model.named_parameters()), load_checkpoint(path))
-    return path
+    sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
+                                   cfg.data.modalities, require_labels=require_labels)
+    if not sessions:
+        raise ConfigError(f"split {split!r} contains no sessions")
+    normed, _ = normalize(sessions, stats=stats)
+    return cfg, model, normed, path
 
 
 def evaluate_run(run_dir, split: str = "val", which: str = "best",
                  overrides: dict[str, str] | None = None, log=None) -> EvalReport:
     t0 = time.perf_counter()
-    cfg, model, stats, _ = load_run(run_dir, overrides)
-    path = _restore(model, run_dir, which)
-    sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
-                                   cfg.data.modalities)
-    if not sessions:
-        raise ConfigError(f"split {split!r} contains no sessions")
-    normed, _ = normalize(sessions, stats=stats)
+    cfg, model, normed, path = _open_split(run_dir, split, which, overrides,
+                                           require_labels=True)
     overall, per_session, _ = score_sessions(model, normed, cfg)
     report = EvalReport(
         split=split,
@@ -413,13 +411,8 @@ def evaluate_run(run_dir, split: str = "val", which: str = "best",
 
 def predict_run(run_dir, out_dir, split: str = "val", which: str = "best",
                 overrides: dict[str, str] | None = None) -> list[Path]:
-    cfg, model, stats, _ = load_run(run_dir, overrides)
-    _restore(model, run_dir, which)
-    sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
-                                   cfg.data.modalities, require_labels=False)
-    if not sessions:
-        raise ConfigError(f"split {split!r} contains no sessions")
-    normed, _ = normalize(sessions, stats=stats)
+    cfg, model, normed, _ = _open_split(run_dir, split, which, overrides,
+                                        require_labels=False)
     predictions = predict_sessions(model, normed, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -35,22 +35,6 @@ class TransformerSettings:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
-class EngagementSequence:
-    """Per-frame scores for one session or window."""
-    scores: np.ndarray
-    frame_index: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        bad = self.mask & ((self.scores < 0.0) | (self.scores > 1.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"engagement score {self.scores[i]} at frame {self.frame_index[i]} "
-                f"is outside [0, 1]")
-
-
 @lru_cache(maxsize=8)
 def _pe_table(T: int, D: int, dtype_name: str) -> np.ndarray:
     pos = np.arange(T, dtype=np.float64)[:, None]

@@ -53,11 +53,6 @@ def _timed(name: str, fn) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def _promote64(module) -> None:
-    for _, p in module.named_parameters():
-        p.data = p.data.astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # gradient checks, one entry per differentiable operation
 

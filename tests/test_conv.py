@@ -118,7 +118,7 @@ class TestConvStack:
         assert stack(x).shape == (2, 8, 64)
 
     def test_single_identity_layer_passthrough(self, rng):
-        stack = ConvStack([ConvLayerSpec(1, 1, 3, 2, has_bias=False)], rng, activation="none")
+        stack = ConvStack([ConvLayerSpec(1, 1, 3, 2)], rng, activation="none")
         stack.layers[0].weight.data = np.array([[[0.0, 1.0, 0.0]]], dtype=np.float32)
         x = Tensor(rng.standard_normal((1, 1, 10)).astype(np.float32))
         np.testing.assert_array_equal(stack(x).data, x.data)

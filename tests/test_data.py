@@ -219,22 +219,19 @@ class TestWindows:
 
 class TestOverlapAverage:
     def test_identical_windows_pass_through(self):
-        preds = [(0, np.full(4, 0.7), np.ones(4, bool)),
-                 (2, np.full(4, 0.7), np.ones(4, bool))]
+        preds = [(0, np.full(4, 0.7)), (2, np.full(4, 0.7))]
         np.testing.assert_allclose(overlap_average(6, preds), 0.7)
 
     def test_two_window_mean(self):
-        preds = [(0, np.array([0.2, 0.2]), np.ones(2, bool)),
-                 (1, np.array([0.4, 0.4]), np.ones(2, bool))]
+        preds = [(0, np.array([0.2, 0.2])), (1, np.array([0.4, 0.4]))]
         np.testing.assert_allclose(overlap_average(3, preds), [0.2, 0.3, 0.4])
 
-    def test_masked_positions_excluded(self):
-        preds = [(0, np.array([0.2, 9.0]), np.array([True, False])),
-                 (1, np.array([0.4, 0.4]), np.ones(2, bool))]
-        np.testing.assert_allclose(overlap_average(3, preds), [0.2, 0.4, 0.4])
+    def test_scores_past_last_frame_dropped(self):
+        preds = [(0, np.array([0.2, 0.2, 9.0])), (1, np.array([0.4, 9.0, 9.0]))]
+        np.testing.assert_allclose(overlap_average(2, preds), [0.2, 0.3])
 
     def test_uncovered_frame_raises(self):
-        preds = [(0, np.array([0.2]), np.ones(1, bool))]
+        preds = [(0, np.array([0.2]))]
         with pytest.raises(DataError, match="frame 1"):
             overlap_average(3, preds)
 
@@ -242,7 +239,7 @@ class TestOverlapAverage:
         spec = SyntheticSpec(seed=11, sessions=1, frames=100, roles=("expert",))
         (session,) = generate_synthetic(spec)
         windows = make_windows(session, window=64, stride=32)
-        preds = [(w.start, w.labels, w.mask) for w in windows]
+        preds = [(w.start, w.labels) for w in windows]
         scores = overlap_average(100, preds)
         assert scores.shape == (100,)
         np.testing.assert_allclose(scores, session.labels, atol=1e-12)

@@ -64,6 +64,19 @@ def test_nan_gradient_names_parameter():
         opt.step()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_gradient_names_parameter_and_step(bad):
+    p = make_param([1.0, 1.0, 1.0])
+    opt = Adam([("layer.weight", p)])
+    p.grad = np.asarray([1.0, 0.0, 0.0])
+    opt.step()
+    before = p.data.copy()
+    p.grad = np.asarray([1.0, bad, 0.0])
+    with pytest.raises(NumericalError, match=r"'layer\.weight' at step 2"):
+        opt.step()
+    np.testing.assert_array_equal(p.data, before)
+
+
 def test_missing_grad_treated_as_zero():
     p = make_param([3.0])
     opt = Adam([("p", p)], lr=0.1)

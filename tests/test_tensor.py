@@ -124,12 +124,6 @@ class TestBackward:
         (x + x).backward()
         assert x.grad == 2.0
 
-    def test_detached_has_no_grad(self):
-        x = t64([1.0, 2.0], requires_grad=True)
-        d = x.detach()
-        (d * d).sum().backward()
-        assert x.grad is None and d.grad is None
-
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
@@ -213,7 +207,6 @@ class TestGradcheck:
         check_gradients(scalarize(lambda ts: ts[0].mean(axis=(0, 2)), [x], rng), [x])
         check_gradients(scalarize(lambda ts: ts[0].reshape(12, 5), [x], rng), [x])
         check_gradients(scalarize(lambda ts: ts[0].transpose(2, 0, 1), [x], rng), [x])
-        check_gradients(scalarize(lambda ts: ts[0][:, 1:3, :], [x], rng), [x])
 
     def test_cat(self, rng):
         a = rng.standard_normal((2, 3))

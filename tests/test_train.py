@@ -1,13 +1,16 @@
 """Training loop and run-directory orchestration."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dctm.config import ConvConfig, DataConfig, DctmConfig, OptimConfig
-from dctm.data import SyntheticSpec, generate_dataset, generate_synthetic
+from dctm.data import (SyntheticSpec, generate_dataset, generate_synthetic,
+                       load_split_sessions, write_session, write_splits)
 from dctm.errors import ConfigError, DataError, NumericalError
+from dctm.metrics import ccc
 from dctm.train import evaluate_run, fit, load_run, predict_run, train_run
 from dctm.transformer import TransformerSettings
 
@@ -183,3 +186,40 @@ class TestPredictRun:
         assert loaded_cfg == cfg
         assert model.feature_dims == meta["feature_dims"]
         assert "voice.f0" in stats.names
+
+
+def _truncated(session, T):
+    streams = {m: replace(s, features=s.features[:T].copy(), frame_index=s.frame_index[:T],
+                          valid_mask=s.valid_mask[:T])
+               for m, s in session.streams.items()}
+    return replace(session, streams=streams, labels=session.labels[:T])
+
+
+class TestPredictMatchesEvaluate:
+    def test_predicted_scores_reproduce_per_session_ccc(self, tmp_path):
+        # window 32, stride 16: one val role shorter than the window, one
+        # whose length (75) ends off the stride grid and has an empty cell
+        root, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
+        lengths = {"s002/expert": 20, "s002/novice": 75}
+        for s in tiny_sessions(sessions=3, frames=100):
+            s = _truncated(s, lengths.get(s.key, s.num_frames))
+            if s.key == "s002/novice":
+                s.streams["pose"].features[7, 1] = np.nan
+            write_session(root, s)
+        write_splits(root, ["s000", "s001"], ["s002"])
+        train_run(tiny_cfg(root=root, epochs=1), run)
+
+        report = evaluate_run(run, split="val", which="best")
+        written = predict_run(run, out, split="val", which="best")
+        val = load_split_sessions(root, "val")
+        assert sorted(s.num_frames for s in val) == [20, 75]
+        assert not all(s.frame_mask.all() for s in val)
+        assert len(written) == len(report.per_session) == len(val)
+        expected = {s.session: s.ccc for s in report.per_session}
+        for session in val:
+            lines = (out / f"{session.session_id}.{session.role}.scores.csv"
+                     ).read_text().splitlines()[1:]
+            scores = np.array([float(line.split(",")[1]) for line in lines])
+            assert scores.shape == (session.num_frames,)
+            mask = session.frame_mask
+            assert ccc(scores[mask], session.labels[mask]).ccc == expected[session.key]

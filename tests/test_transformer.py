@@ -6,7 +6,6 @@ from dctm.reference import attention_single_head_loop
 from dctm.tensor import Tensor
 from dctm.transformer import (
     EncoderDecoder,
-    EngagementSequence,
     MultiHeadAttention,
     RegressionHead,
     TransformerSettings,
@@ -205,29 +204,3 @@ class TestEncoderDecoder:
         head(model(x, rng)).sum().backward()
         for name, p in list(model.named_parameters()) + list(head.named_parameters()):
             assert p.grad is not None, name
-
-
-class TestEngagementSequence:
-    def test_valid_range_accepted(self):
-        seq = EngagementSequence(
-            scores=np.array([0.0, 0.5, 1.0]),
-            frame_index=np.arange(3),
-            mask=np.ones(3, dtype=bool),
-        )
-        assert seq.scores.shape == (3,)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="frame 1"):
-            EngagementSequence(
-                scores=np.array([0.5, 1.2]),
-                frame_index=np.arange(2),
-                mask=np.ones(2, dtype=bool),
-            )
-
-    def test_masked_frames_not_validated(self):
-        seq = EngagementSequence(
-            scores=np.array([0.5, 7.0]),
-            frame_index=np.arange(2),
-            mask=np.array([True, False]),
-        )
-        assert seq.mask.sum() == 1
