@@ -93,15 +93,15 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, dilation: int,
 
 
 class ConvLayer(Module):
-    def __init__(self, spec: ConvLayerSpec, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, spec: ConvLayerSpec, rng: np.random.Generator):
         super().__init__()
         self.spec = spec
         fan_in = spec.in_channels * spec.kernel_size
         fan_out = spec.out_channels * spec.kernel_size
         self.weight = xavier_uniform(
             rng, (spec.out_channels, spec.in_channels, spec.kernel_size),
-            fan_in=fan_in, fan_out=fan_out, dtype=dtype)
-        self.bias = zeros((spec.out_channels,), dtype=dtype, requires_grad=True)
+            fan_in=fan_in, fan_out=fan_out)
+        self.bias = zeros((spec.out_channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return dilated_conv1d(x, self.weight, self.bias, self.spec.dilation)
@@ -115,7 +115,7 @@ class ConvStack(Module):
     """
 
     def __init__(self, specs: list[ConvLayerSpec], rng: np.random.Generator,
-                 activation: str = "relu", dtype=np.float32):
+                 activation: str = "relu"):
         super().__init__()
         if not specs:
             raise ConfigError("ConvStack needs at least one layer")
@@ -126,7 +126,7 @@ class ConvStack(Module):
         if activation not in ("relu", "tanh", "none"):
             raise ConfigError(f"unknown conv activation '{activation}'")
         self.activation = activation
-        self.layers = ModuleList([ConvLayer(s, rng, dtype=dtype) for s in specs])
+        self.layers = ModuleList([ConvLayer(s, rng) for s in specs])
 
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):

@@ -28,10 +28,9 @@ class ConcatFusion(Module):
     projection only exists to land on the transformer hidden size.
     """
 
-    def __init__(self, in_dims: list[int], hidden: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, in_dims: list[int], hidden: int, rng: np.random.Generator):
         super().__init__()
-        self.proj = Linear(sum(in_dims), hidden, rng, dtype=dtype)
+        self.proj = Linear(sum(in_dims), hidden, rng)
 
     def __call__(self, streams: list[Tensor], names: list[str]) -> Tensor:
         _check_aligned(streams, names)
@@ -47,13 +46,12 @@ class GmuUnit(Module):
     output z * h1 + (1 - z) * h2, a per-coordinate convex mix.
     """
 
-    def __init__(self, d1: int, d2: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, d1: int, d2: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.d1, self.d2 = d1, d2
-        self.transform1 = Linear(d1, out_dim, rng, dtype=dtype)
-        self.transform2 = Linear(d2, out_dim, rng, dtype=dtype)
-        self.gate = Linear(d1 + d2, out_dim, rng, dtype=dtype)
+        self.transform1 = Linear(d1, out_dim, rng)
+        self.transform2 = Linear(d2, out_dim, rng)
+        self.gate = Linear(d1 + d2, out_dim, rng)
         self.last_gate: np.ndarray | None = None
 
     def fuse(self, x1: Tensor, x2: Tensor, names=("first", "second")) -> Tensor:
@@ -79,19 +77,18 @@ class GatedFusion(Module):
     the final (by default: voice) branch.
     """
 
-    def __init__(self, in_dims: list[int], hidden: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, in_dims: list[int], hidden: int, rng: np.random.Generator):
         super().__init__()
         if not in_dims:
             raise ConfigError("gated fusion needs at least one modality")
         if len(in_dims) == 1:
             # degenerate single-modality case: plain tanh transform
-            self.solo = Linear(in_dims[0], hidden, rng, dtype=dtype)
+            self.solo = Linear(in_dims[0], hidden, rng)
             self.units = ModuleList([])
         else:
-            units = [GmuUnit(in_dims[0], in_dims[1], hidden, rng, dtype=dtype)]
+            units = [GmuUnit(in_dims[0], in_dims[1], hidden, rng)]
             for d in in_dims[2:]:
-                units.append(GmuUnit(hidden, d, hidden, rng, dtype=dtype))
+                units.append(GmuUnit(hidden, d, hidden, rng))
             self.units = ModuleList(units)
 
     def __call__(self, streams: list[Tensor], names: list[str]) -> Tensor:

@@ -66,27 +66,26 @@ class Linear(Module):
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float32, zero_init: bool = False):
+                 zero_init: bool = False):
         super().__init__()
         if zero_init:
-            self.weight = zeros((in_dim, out_dim), dtype=dtype, requires_grad=True)
+            self.weight = zeros((in_dim, out_dim))
         else:
-            self.weight = xavier_uniform(rng, (in_dim, out_dim), dtype=dtype)
-        self.bias = zeros((out_dim,), dtype=dtype, requires_grad=True)
+            self.weight = xavier_uniform(rng, (in_dim, out_dim))
+        self.bias = zeros((out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
-        self.gain = ones((dim,), dtype=dtype, requires_grad=True)
-        self.bias = zeros((dim,), dtype=dtype, requires_grad=True)
+        self.gain = ones((dim,))
+        self.bias = zeros((dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

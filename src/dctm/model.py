@@ -41,7 +41,6 @@ class DctmModel(Module):
             if m not in feature_dims:
                 raise ConfigError(f"no feature dimension given for modality {m!r}")
         self.feature_dims = {m: feature_dims[m] for m in self.modalities}
-        dtype = cfg.dtype
 
         self.stacks = {}
         if cfg.conv.kind == "none":
@@ -49,18 +48,23 @@ class DctmModel(Module):
         else:
             for m in self.modalities:
                 stack = ConvStack(conv_specs(cfg, self.feature_dims[m]), rng,
-                                  activation=cfg.conv.activation, dtype=dtype)
+                                  activation=cfg.conv.activation)
                 setattr(self, f"conv_{m}", stack)
                 self.stacks[m] = stack
             fused_dims = [cfg.conv.channels for _ in self.modalities]
 
         hidden = cfg.transformer.hidden
         if cfg.fusion.kind == "sa":
-            self.fusion = ConcatFusion(fused_dims, hidden, rng, dtype=dtype)
+            self.fusion = ConcatFusion(fused_dims, hidden, rng)
         else:
-            self.fusion = GatedFusion(fused_dims, hidden, rng, dtype=dtype)
-        self.core = EncoderDecoder(cfg.transformer, rng, dtype=dtype)
-        self.head = RegressionHead(hidden, rng, dtype=dtype)
+            self.fusion = GatedFusion(fused_dims, hidden, rng)
+        self.core = EncoderDecoder(cfg.transformer, rng)
+        self.head = RegressionHead(hidden, rng)
+        # The one place parameters take the configured precision: modules
+        # draw in float64, so the cast gives float32 and float64 models the
+        # same initial values from the same rng draws.
+        for p in self.parameters():
+            p.data = p.data.astype(cfg.dtype, copy=False)
 
     def __call__(self, features: dict[str, np.ndarray], rng,
                  training: bool = False) -> Tensor:

@@ -28,22 +28,18 @@ class Adam:
         self.v = [np.zeros_like(t.data) for _, t in self.params]
 
     def step(self) -> None:
+        """One update; a non-finite gradient aborts before any state changes."""
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for _, p in self.params]
+        for (name, _), g in zip(self.params, grads):
+            if not np.isfinite(g).all():
+                raise NumericalError(
+                    f"non-finite gradient in parameter '{name}' at step {self.t + 1}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (name, p) in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericalError(
-                    f"non-finite gradient in parameter '{name}' at step {self.t}")
+        for i, ((_, p), g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None

@@ -1,9 +1,12 @@
 """Dense tensor with reverse-mode automatic differentiation.
 
-Values live in numpy arrays (float64 for tests/oracles, float32 for
-training). Every op records its parents and a backward closure on the
-output tensor; ``backward()`` on a scalar walks the graph once in
-reverse topological order and accumulates gradients into ``.grad``.
+Values live in numpy arrays. Parameter factories create float64
+arrays; ``DctmModel`` casts its parameters once to the configured
+precision, and every op keeps its inputs' dtype, so a float32 model
+computes its loss, gradients and optimizer state in float32. Every op
+records its parents and a backward closure on the output tensor;
+``backward()`` on a scalar walks the graph once in reverse topological
+order and accumulates gradients into ``.grad``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ class Tensor:
     """n-d array plus optional gradient buffer and graph linkage."""
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        # a full reduction yields an np.generic: keep its dtype, so a float32
+        # loss stays float32; plain Python numbers become float64
+        self.data = data if isinstance(data, np.ndarray) else np.asarray(
+            data, dtype=getattr(data, "dtype", np.float64))
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = _parents
@@ -303,16 +309,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._op(out, (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    Population variance; composed from primitive ops so the backward
-    rule needs no separate derivation.
+    Population variance with eps 1e-5; composed from primitive ops so the
+    backward rule needs no separate derivation.
     """
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
+    inv = (var + 1e-5) ** -0.5
     return centered * inv * gain + bias
 
 
@@ -333,20 +339,19 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple, fan_in: int | None = None,
-                   fan_out: int | None = None, dtype=np.float32) -> Tensor:
+                   fan_out: int | None = None) -> Tensor:
     """Xavier/Glorot uniform init; default fans come from the trailing two dims."""
     if fan_in is None:
         fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
     if fan_out is None:
         fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    data = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def ones(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
+def ones(shape) -> Tensor:
+    return Tensor(np.ones(shape), requires_grad=True)

@@ -206,17 +206,13 @@ class FitResult:
     best_epoch: int
     best_state: dict[str, np.ndarray]
     last_state: dict[str, np.ndarray]
+    best_val_score: tuple[CccResult, list[SessionScore]] | None  # None without val
     wall_time_s: float
     warnings: list[str]
 
 
 def _state_of(model: DctmModel) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
-
-
-def _set_state(model: DctmModel, state: dict[str, np.ndarray]) -> None:
-    for name, p in model.named_parameters():
-        p.data = state[name].copy()
 
 
 def fit(cfg: DctmConfig, train_sessions: list[Session],
@@ -248,7 +244,7 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
         raise ConfigError("training dataset produced no windows")
 
     loss_curve, train_curve, val_curve = [], [], []
-    best_epoch, best_val = -1, -np.inf
+    best_epoch, best_val, best_val_score = -1, -np.inf, None
     best_state = _state_of(model)
     for epoch in range(cfg.optim.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
@@ -279,11 +275,12 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
         train_curve.append(train_ccc)
 
         if val_norm:
-            overall, _, _ = score_sessions(model, val_norm, cfg)
+            overall, per_session, _ = score_sessions(model, val_norm, cfg)
             val_curve.append(overall.ccc)
             if overall.ccc > best_val:
                 best_val, best_epoch = overall.ccc, epoch
                 best_state = _state_of(model)
+                best_val_score = (overall, per_session)
             say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
                 f"train_ccc {train_ccc:+.4f}  val_ccc {overall.ccc:+.4f}")
         else:
@@ -297,7 +294,8 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
         loss_curve=loss_curve, train_ccc_curve=train_curve,
         val_ccc_curve=val_curve, best_epoch=best_epoch,
         best_state=best_state, last_state=_state_of(model),
-        wall_time_s=time.perf_counter() - t0, warnings=warnings)
+        best_val_score=best_val_score, wall_time_s=time.perf_counter() - t0,
+        warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +328,8 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
         }, fh, indent=2)
         fh.write("\n")
 
-    _set_state(result.model, result.best_state)
-    if val_sessions:
-        val_norm, _ = normalize(val_sessions, stats=result.stats)
-        overall, per_session, _ = score_sessions(result.model, val_norm, cfg)
+    if result.best_val_score is not None:
+        overall, per_session = result.best_val_score
     else:
         overall = CccResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, degenerate=True)
         per_session = []

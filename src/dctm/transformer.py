@@ -60,20 +60,20 @@ class MultiHeadAttention(Module):
     inspection; it references the forward buffer, no extra copy is made.
     """
 
-    def __init__(self, hidden: int, heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, hidden: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if hidden % heads != 0:
             raise ConfigError(f"hidden={hidden} not divisible by heads={heads}")
         self.hidden = hidden
         self.heads = heads
         self.head_dim = hidden // heads
-        self.wq = Linear(hidden, hidden, rng, dtype=dtype)
-        self.wk = Linear(hidden, hidden, rng, dtype=dtype)
-        self.wv = Linear(hidden, hidden, rng, dtype=dtype)
+        self.wq = Linear(hidden, hidden, rng)
+        self.wk = Linear(hidden, hidden, rng)
+        self.wv = Linear(hidden, hidden, rng)
         # Zero output projection: each attention block starts as a no-op on
         # the residual stream, which keeps the post-norm stack trainable at
         # learning rates around 1e-3 (random init collapses to a constant).
-        self.wo = Linear(hidden, hidden, rng, dtype=dtype, zero_init=True)
+        self.wo = Linear(hidden, hidden, rng, zero_init=True)
         self.last_attn: np.ndarray | None = None
 
     def _split(self, x: Tensor, B: int, T: int) -> Tensor:
@@ -94,24 +94,24 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, hidden: int, ff_dim: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, hidden: int, ff_dim: int, rng: np.random.Generator):
         super().__init__()
-        self.expand = Linear(hidden, ff_dim, rng, dtype=dtype)
+        self.expand = Linear(hidden, ff_dim, rng)
         # Zero contraction for the same reason as the attention output
         # projection: the block contributes nothing until trained.
-        self.contract = Linear(ff_dim, hidden, rng, dtype=dtype, zero_init=True)
+        self.contract = Linear(ff_dim, hidden, rng, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.contract(self.expand(x).relu())
 
 
 class EncoderLayer(Module):
-    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator):
         super().__init__()
-        self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng, dtype=dtype)
-        self.norm1 = LayerNorm(cfg.hidden, dtype=dtype)
-        self.ff = FeedForward(cfg.hidden, cfg.ff_dim, rng, dtype=dtype)
-        self.norm2 = LayerNorm(cfg.hidden, dtype=dtype)
+        self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng)
+        self.norm1 = LayerNorm(cfg.hidden)
+        self.ff = FeedForward(cfg.hidden, cfg.ff_dim, rng)
+        self.norm2 = LayerNorm(cfg.hidden)
         self.rate = cfg.dropout
 
     def __call__(self, x: Tensor, rng, training: bool) -> Tensor:
@@ -121,14 +121,14 @@ class EncoderLayer(Module):
 
 
 class DecoderLayer(Module):
-    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator):
         super().__init__()
-        self.self_attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng, dtype=dtype)
-        self.norm1 = LayerNorm(cfg.hidden, dtype=dtype)
-        self.cross_attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng, dtype=dtype)
-        self.norm2 = LayerNorm(cfg.hidden, dtype=dtype)
-        self.ff = FeedForward(cfg.hidden, cfg.ff_dim, rng, dtype=dtype)
-        self.norm3 = LayerNorm(cfg.hidden, dtype=dtype)
+        self.self_attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng)
+        self.norm1 = LayerNorm(cfg.hidden)
+        self.cross_attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng)
+        self.norm2 = LayerNorm(cfg.hidden)
+        self.ff = FeedForward(cfg.hidden, cfg.ff_dim, rng)
+        self.norm3 = LayerNorm(cfg.hidden)
         self.rate = cfg.dropout
 
     def __call__(self, x: Tensor, memory: Tensor, rng, training: bool) -> Tensor:
@@ -141,19 +141,16 @@ class DecoderLayer(Module):
 class EncoderDecoder(Module):
     """Auto-encoding regressor core: both stacks read the same tokens."""
 
-    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: TransformerSettings, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.dtype = dtype
-        self.encoder = ModuleList([EncoderLayer(cfg, rng, dtype=dtype)
-                                   for _ in range(cfg.encoder_layers)])
-        self.decoder = ModuleList([DecoderLayer(cfg, rng, dtype=dtype)
-                                   for _ in range(cfg.decoder_layers)])
+        self.encoder = ModuleList([EncoderLayer(cfg, rng) for _ in range(cfg.encoder_layers)])
+        self.decoder = ModuleList([DecoderLayer(cfg, rng) for _ in range(cfg.decoder_layers)])
 
     def __call__(self, tokens: Tensor, rng, training: bool = False) -> Tensor:
         B, T, D = tokens.shape
         if self.cfg.use_positional:
-            tokens = tokens + Tensor(positional_encoding(T, D, dtype=self.dtype))
+            tokens = tokens + Tensor(positional_encoding(T, D, tokens.dtype))
         memory = tokens
         for layer in self.encoder:
             memory = layer(memory, rng, training)
@@ -177,11 +174,11 @@ class EncoderDecoder(Module):
 class RegressionHead(Module):
     """Per-frame linear map to a scalar, squashed into (0,1) by a sigmoid."""
 
-    def __init__(self, hidden: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, hidden: int, rng: np.random.Generator):
         super().__init__()
         # Starts at sigmoid(0) = 0.5 everywhere; avoids saturated outputs
         # (and vanishing sigmoid gradients) at the start of training.
-        self.out = Linear(hidden, 1, rng, dtype=dtype, zero_init=True)
+        self.out = Linear(hidden, 1, rng, zero_init=True)
 
     def __call__(self, decoded: Tensor) -> Tensor:
         B, T, _ = decoded.shape

@@ -103,19 +103,19 @@ def _grad_cases(rng, n_cases):
         heads = int(rng.choice([1, 2]))
         hidden = heads * int(rng.integers(2, 5))
         T = int(rng.integers(1, 6))
-        mha = MultiHeadAttention(hidden, heads, rng, dtype=np.float64)
+        mha = MultiHeadAttention(hidden, heads, rng)
         _fill_zero_weights(mha, rng)
         return [rng.standard_normal((1, T, hidden))], lambda ts: mha(ts[0])
 
     def gmu_case():
         d1, d2, out = (int(v) for v in rng.integers(1, 5, size=3))
-        gmu = GmuUnit(d1, d2, out, rng, dtype=np.float64)
+        gmu = GmuUnit(d1, d2, out, rng)
         return ([rng.standard_normal((1, 3, d1)), rng.standard_normal((1, 3, d2))],
                 lambda ts: gmu.fuse(ts[0], ts[1]))
 
     def head_case():
         hidden = int(rng.integers(2, 9))
-        head = RegressionHead(hidden, rng, dtype=np.float64)
+        head = RegressionHead(hidden, rng)
         _fill_zero_weights(head, rng)
         return ([rng.standard_normal((2, 4, hidden))], lambda ts: head(ts[0]))
 
@@ -246,7 +246,7 @@ def check_receptive_field(seed: int = 0) -> CheckResult:
 
         # linear stack: same receptive field, but no relu gating that could
         # zero out an in-field path by chance
-        stack = ConvStack(specs, rng, activation="none", dtype=np.float64)
+        stack = ConvStack(specs, rng, activation="none")
         half = (rf - 1) // 2
         T = 64
         x = rng.standard_normal((1, 2, T))
@@ -296,7 +296,7 @@ def check_attention_rows(seed: int = 0) -> CheckResult:
             f"expected attention maps from every layer, got {count}"
         assert worst <= 1e-6, f"attention row sums off by {worst:.2e}"
 
-        mha = MultiHeadAttention(8, 1, rng, dtype=np.float64)
+        mha = MultiHeadAttention(8, 1, rng)
         _fill_zero_weights(mha, rng)
         xs = rng.standard_normal((1, 5, 8))
         got = mha(Tensor(xs)).data[0]

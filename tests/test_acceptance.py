@@ -192,7 +192,7 @@ def test_criterion_06_overfit_smoke():
     for step in range(500):
         pred = model(batch.features, np.random.default_rng([0, step]), training=True)
         loss = ccc_loss(pred, batch.labels, mask=batch.mask)
-        opt.zero_grad()
+        model.zero_grad()
         loss.backward()
         opt.step()
         with no_grad():

@@ -136,7 +136,6 @@ class TestConvStack:
         # inside the 41-frame receptive field influence is nonzero,
         # outside it the output is bitwise unchanged
         stack = ConvStack(default_specs(c_in=3), rng, activation="relu")
-        stack = _as64(stack)
         x = rng.standard_normal((1, 3, 64))
         base = stack(Tensor(x)).data
         xp = x.copy()
@@ -146,11 +145,3 @@ class TestConvStack:
         assert np.max(np.abs(out[0, :, 21] - base[0, :, 21])) == 0.0  # distance 21 > RF half-width
         assert np.max(np.abs(out[0, :, 20] - base[0, :, 20])) > 1e-12
         assert np.max(np.abs(out[0, :, 0] - base[0, :, 0])) > 1e-12
-
-
-def _as64(stack):
-    for layer in stack.layers:
-        layer.weight.data = layer.weight.data.astype(np.float64)
-        if layer.bias is not None:
-            layer.bias.data = layer.bias.data.astype(np.float64)
-    return stack

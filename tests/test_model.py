@@ -6,7 +6,9 @@ import pytest
 from dctm.config import ConvConfig, DctmConfig, DataConfig, FusionConfig
 from dctm.errors import ConfigError, ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion
+from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
+from dctm.optim import Adam
 from dctm.transformer import TransformerSettings
 
 DIMS = {"head": 5, "pose": 7, "voice": 4}
@@ -169,3 +171,28 @@ class TestParameters:
             assert p.data.dtype == np.float64, name
         out = model(batch(rng), rng)
         assert out.data.dtype == np.float64
+
+    def test_precision_changes_only_the_cast(self):
+        a = DctmModel(small_cfg(precision="float32"), DIMS, np.random.default_rng(11))
+        b = DctmModel(small_cfg(precision="float64"), DIMS, np.random.default_rng(11))
+        for (name, x), (_, y) in zip(a.named_parameters(), b.named_parameters()):
+            assert x.data.dtype == np.float32, name
+            assert x.data.tobytes() == y.data.astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_train_step_stays_in_configured_dtype(self, rng, precision, fusion):
+        cfg = small_cfg(precision=precision, fusion=FusionConfig(kind=fusion))
+        model = DctmModel(cfg, DIMS, rng)
+        params = list(model.named_parameters())
+        opt = Adam(params, lr=1e-3)
+        feats = {m: x.astype(cfg.dtype) for m, x in batch(rng).items()}
+        loss = ccc_loss(model(feats, rng, training=True), rng.random((2, 20)))
+        loss.backward()
+        opt.step()
+        assert loss.dtype == cfg.dtype
+        for name, p in params:
+            assert p.data.dtype == cfg.dtype, name
+            assert p.grad is not None and p.grad.dtype == cfg.dtype, name
+        for m, v in zip(opt.m, opt.v):
+            assert m.dtype == cfg.dtype and v.dtype == cfg.dtype

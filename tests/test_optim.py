@@ -77,6 +77,17 @@ def test_infinite_gradient_names_parameter_and_step(bad):
     np.testing.assert_array_equal(p.data, before)
 
 
+def test_non_finite_gradient_aborts_before_any_update():
+    a, b = make_param([1.0, 1.0]), make_param([1.0, 1.0])
+    opt = Adam([("a", a), ("b", b)], lr=0.1)
+    a.grad, b.grad = np.asarray([1.0, 1.0]), np.asarray([1.0, np.inf])
+    with pytest.raises(NumericalError, match=r"'b' at step 1"):
+        opt.step()
+    assert a.data.tolist() == [1.0, 1.0]
+    assert opt.t == 0
+    assert all(not np.any(s) for s in opt.m + opt.v)
+
+
 def test_missing_grad_treated_as_zero():
     p = make_param([3.0])
     opt = Adam([("p", p)], lr=0.1)

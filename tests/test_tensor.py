@@ -62,6 +62,9 @@ class TestElementwise:
         x = Tensor(np.ones(3, dtype=np.float32))
         assert (x * 2.5).dtype == np.float32
         assert (1.0 - x).dtype == np.float32
+        # full reductions return numpy scalars, which must not widen
+        assert x.sum().dtype == np.float32
+        assert x.mean().dtype == np.float32
 
     def test_sigmoid_extreme_is_finite(self):
         out = t64([-1000.0, 1000.0]).sigmoid()

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dctm.train
 from dctm.config import ConvConfig, DataConfig, DctmConfig, OptimConfig
 from dctm.data import (SyntheticSpec, generate_dataset, generate_synthetic,
                        load_split_sessions, write_session, write_splits)
@@ -97,6 +98,21 @@ def run_env(tmp_path_factory):
 
 
 class TestTrainRun:
+    def test_validation_scored_once_per_epoch(self, tmp_path, monkeypatch):
+        # the report reuses fit's best-epoch score instead of a rescoring pass
+        root = tmp_path / "data"
+        generate_dataset(root, SyntheticSpec(seed=5, sessions=3, frames=100, dims=(4, 5, 3)))
+        calls = []
+        real = dctm.train.score_sessions
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dctm.train, "score_sessions", counting)
+        train_run(tiny_cfg(root=root, epochs=2), tmp_path / "run")
+        assert len(calls) == 2
+
     def test_artifacts_written(self, run_env):
         _, _, run, _ = run_env
         for name in ("config.txt", "norm_stats.csv", "meta.json",

@@ -89,7 +89,6 @@ class TestMultiHeadAttention:
     def test_matches_per_head_loop(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
         _scramble_zero_weights(mha, rng)
-        _promote(mha)
         x = Tensor(rng.standard_normal((1, 6, 8)))
         out = mha(x).data
 
@@ -112,12 +111,6 @@ class TestMultiHeadAttention:
         mem = Tensor(rng.standard_normal((2, 9, 8)).astype(np.float32))
         assert mha(x, memory=mem).shape == (2, 3, 8)
         assert mha.last_attn.shape == (2, 2, 3, 9)
-
-
-def _promote(module):
-    for _, p in module.named_parameters():
-        p.data = p.data.astype(np.float64)
-    return module
 
 
 def _scramble_zero_weights(module, rng):
@@ -146,7 +139,6 @@ class TestEncoderDecoder:
         # no positional encoding and no dropout: permuting tokens permutes outputs
         cfg = small_settings(use_positional=False)
         model = EncoderDecoder(cfg, rng)
-        _promote(model)
         x = rng.standard_normal((1, 6, 16))
         perm = np.array([3, 0, 5, 1, 4, 2])
         base = model(Tensor(x), rng).data
@@ -155,7 +147,6 @@ class TestEncoderDecoder:
 
     def test_positions_break_equivariance(self, rng):
         model = EncoderDecoder(small_settings(), rng)
-        _promote(model)
         x = rng.standard_normal((1, 6, 16))
         perm = np.array([3, 0, 5, 1, 4, 2])
         base = model(Tensor(x), rng).data
