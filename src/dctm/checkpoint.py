@@ -8,6 +8,7 @@ bit-exact for float32 weights.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -40,25 +41,33 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic, not a DCTM1 checkpoint")
     off = len(MAGIC)
+    view = memoryview(blob)
 
-    def read_u64():
+    def take(n: int, what: str) -> memoryview:
         nonlocal off
-        (val,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        return val
+        if n > len(blob) - off:
+            raise DataError(f"{path}: truncated in {what}: needs {n} bytes at offset "
+                            f"{off}, {len(blob) - off} left")
+        off += n
+        return view[off - n:off]
 
-    count = read_u64()
+    def read_u64(what: str) -> int:
+        return struct.unpack("<Q", take(8, what))[0]
+
+    count = read_u64("the record count")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = read_u64()
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        rank = read_u64()
-        dims = tuple(read_u64() for _ in range(rank))
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        out[name] = arr.copy()
+    for i in range(count):
+        record = f"record {i}"
+        try:
+            name = str(take(read_u64(f"{record} name length"), f"{record} name"), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: {record} name is not UTF-8") from None
+        record = f"record {i} ('{name}')"
+        rank = read_u64(f"{record} rank")
+        dims = tuple(read_u64(f"{record} shape") for _ in range(rank))
+        n = math.prod(dims)
+        payload = take(4 * n, f"{record} payload")
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after last record")
     return out

@@ -113,7 +113,7 @@ def _read_feature_csv(path: Path):
         if not header or header[0] != "frame":
             raise DataError(f"{path}: expected header starting with 'frame'")
         names = header[1:]
-        frames, rows = [], []
+        frames, rows, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -125,7 +125,14 @@ def _read_feature_csv(path: Path):
                 rows.append([float(c) if c.strip() else np.nan for c in row[1:]])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparsable row {row!r}") from None
+            linenos.append(lineno)
     feats = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    # empty and NaN cells are missing values; an infinity is not a value at all
+    infinite = np.isinf(feats)
+    if infinite.any():
+        i, j = np.argwhere(infinite)[0]
+        raise DataError(f"{path}:{linenos[i]}: non-finite value {feats[i, j]} "
+                        f"in column {j + 2} ('{names[j]}')")
     return names, np.asarray(frames, dtype=np.int64), feats
 
 

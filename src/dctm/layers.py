@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, layer_norm, xavier_uniform, zeros, ones
+from .tensor import Tensor, layer_norm, linear, xavier_uniform, zeros, ones
 
 
 class Module:
@@ -75,7 +75,7 @@ class Linear(Module):
         self.bias = zeros((out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

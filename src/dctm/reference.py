@@ -56,15 +56,19 @@ def conv1d_flip(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
 
 
 def attention_single_head_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unbatched attention for one head: softmax(q k^T / sqrt(d)) v, row by row."""
-    T, d = q.shape
-    out = np.zeros_like(v)
-    for i in range(T):
-        scores = np.array([np.dot(q[i], k[j]) / np.sqrt(d) for j in range(T)])
+    """Unbatched attention for one head: softmax(q k^T / sqrt(d)) v, row by row.
+
+    ``q`` is (Tq, d); ``k`` and ``v`` are (Tk, d), so Tq may differ from Tk.
+    """
+    Tq, d = q.shape
+    Tk = k.shape[0]
+    out = np.zeros((Tq, v.shape[1]), dtype=v.dtype)
+    for i in range(Tq):
+        scores = np.array([np.dot(q[i], k[j]) / np.sqrt(d) for j in range(Tk)])
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()
-        for j in range(T):
+        for j in range(Tk):
             out[i] += weights[j] * v[j]
     return out
 

@@ -12,6 +12,7 @@ order and accumulates gradients into ``.grad``.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Sequence
 
 import numpy as np
@@ -296,30 +297,90 @@ def _toposort(root: Tensor) -> list:
 # -- free functions ---------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    a = x
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` over the last axis of ``x``.
+
+    ``x`` is flattened to (N, D), so the forward and both backward
+    products are single 2-D GEMMs; the weight gradient needs no
+    broadcast sum over leading axes.
+    """
+    D, O = weight.shape
+    if x.shape[-1] != D:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
+    x2 = x.data.reshape(-1, D)
+    out = (x2 @ weight.data + bias.data).reshape(*x.shape[:-1], O)
 
     def bw(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+        g2 = g.reshape(-1, O)
+        return (g2 @ weight.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return Tensor._op(out, (a,), bw)
+    return Tensor._op(out, (x, weight, bias), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    Population variance with eps 1e-5; composed from primitive ops so the
-    backward rule needs no separate derivation.
+    Population variance with eps 1e-5. One tape node; the backward is the
+    closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
+    normalized input ``xhat`` and inverse deviation ``inv``.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + 1e-5) ** -0.5
-    return centered * inv * gain + bias
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    xhat = centered * inv
+    out = xhat * gain.data + bias.data
+
+    def bw(g):
+        gxh = g * gain.data
+        gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
+                    - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+        g2 = g.reshape(-1, g.shape[-1])
+        return gx, (g * xhat).reshape(g2.shape).sum(axis=0), g2.sum(axis=0)
+
+    return Tensor._op(out, (x, gain, bias), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` is (B, Tq, D) and ``k``, ``v`` are (B, Tk, D), already projected;
+    each is split into ``heads`` subspaces of D / heads. Returns the merged
+    context (B, Tq, D) and the softmax weights (B, heads, Tq, Tk). The
+    1/sqrt(d) scale is applied to ``q`` rather than to the scores, and the
+    max-shifted softmax runs in place on the score buffer. The backward is
+    the softmax Jacobian-vector product ``p * (gp - sum(gp * p))``.
+    """
+    B, Tq, D = q.shape
+    Tk = k.shape[1]
+    if k.shape != v.shape or k.shape[0] != B or k.shape[2] != D or D % heads:
+        raise ShapeError(
+            f"attention: q {q.shape}, k {k.shape}, v {v.shape} with {heads} heads")
+    d = D // heads
+
+    def split(a, T):
+        return a.reshape(B, T, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a, T):
+        return a.transpose(0, 2, 1, 3).reshape(B, T, D)
+
+    scale = 1.0 / math.sqrt(d)
+    qh = split(q.data * scale, Tq)
+    kh, vh = split(k.data, Tk), split(v.data, Tk)
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh, Tq)
+
+    def bw(g):
+        gh = split(g, Tq)
+        gv = p.transpose(0, 1, 3, 2) @ gh
+        gs = gh @ vh.transpose(0, 1, 3, 2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = (gs @ kh) * scale
+        return merge(gq, Tq), merge(gs.transpose(0, 1, 3, 2) @ qh, Tk), merge(gv, Tk)
+
+    return Tensor._op(out, (q, k, v), bw), p
 
 
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Linear, LayerNorm, Module, ModuleList, dropout
-from .tensor import Tensor, softmax
+from .tensor import Tensor, attention
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ class MultiHeadAttention(Module):
         super().__init__()
         if hidden % heads != 0:
             raise ConfigError(f"hidden={hidden} not divisible by heads={heads}")
-        self.hidden = hidden
         self.heads = heads
-        self.head_dim = hidden // heads
         self.wq = Linear(hidden, hidden, rng)
         self.wk = Linear(hidden, hidden, rng)
         self.wv = Linear(hidden, hidden, rng)
@@ -76,20 +74,10 @@ class MultiHeadAttention(Module):
         self.wo = Linear(hidden, hidden, rng, zero_init=True)
         self.last_attn: np.ndarray | None = None
 
-    def _split(self, x: Tensor, B: int, T: int) -> Tensor:
-        return x.reshape(B, T, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
         source = x if memory is None else memory
-        B, Tq, _ = x.shape
-        Tk = source.shape[1]
-        q = self._split(self.wq(x), B, Tq)
-        k = self._split(self.wk(source), B, Tk)
-        v = self._split(self.wv(source), B, Tk)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        attn = softmax(scores, axis=-1)
-        self.last_attn = attn.data
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, Tq, self.hidden)
+        ctx, self.last_attn = attention(self.wq(x), self.wk(source), self.wv(source),
+                                        self.heads)
         return self.wo(ctx)
 
 

@@ -9,6 +9,7 @@ against central finite differences.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .fusion import GmuUnit
 from .gradcheck import check_gradients, scalarize
 from .metrics import ccc, ccc_loss
 from .reference import attention_single_head_loop, ccc_two_pass, conv1d_direct, conv1d_flip
-from .tensor import Tensor, layer_norm, softmax
+from .tensor import Tensor, layer_norm, linear
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
 
 GRAD_RTOL = 1e-4
@@ -77,15 +78,15 @@ def _grad_cases(rng, n_cases):
         n, k, m = (int(v) for v in rng.integers(1, 6, size=3))
         return [rng.standard_normal((n, k)), rng.standard_normal((k, m))]
 
-    def softmax_op(ts):
-        return softmax(ts[0], axis=-1)
-
-    def layer_norm_op(ts):
-        return layer_norm(ts[0], ts[1], ts[2])
+    def linear_arrays():
+        # B, T > 1: the weight gradient sums over every flattened frame
+        B, T, D, O = (int(v) for v in rng.integers(2, 5, size=4))
+        return [rng.standard_normal((B, T, D)), rng.standard_normal((D, O)),
+                rng.standard_normal(O)]
 
     def layer_norm_arrays():
-        B, D = int(rng.integers(1, 5)), int(rng.integers(2, 8))
-        return [rng.standard_normal((B, D)), rng.standard_normal(D),
+        B, T, D = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        return [rng.standard_normal((B, T, D)), rng.standard_normal(D),
                 rng.standard_normal(D)]
 
     def conv_arrays():
@@ -99,13 +100,21 @@ def _grad_cases(rng, n_cases):
         dil = int(rng.integers(1, 4))
         return lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil)
 
+    cross_turn = itertools.cycle([False, True])
+
     def attention_case():
         heads = int(rng.choice([1, 2]))
         hidden = heads * int(rng.integers(2, 5))
-        T = int(rng.integers(1, 6))
+        B, Tq = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         mha = MultiHeadAttention(hidden, heads, rng)
         _fill_zero_weights(mha, rng)
-        return [rng.standard_normal((1, T, hidden))], lambda ts: mha(ts[0])
+        x = rng.standard_normal((B, Tq, hidden))
+        if not next(cross_turn):
+            return [x], lambda ts: mha(ts[0])
+        # every other case is cross-attention to a memory of another length
+        Tk = Tq + int(rng.integers(1, 4))
+        return ([x, rng.standard_normal((B, Tk, hidden))],
+                lambda ts: mha(ts[0], memory=ts[1]))
 
     def gmu_case():
         d1, d2, out = (int(v) for v in rng.integers(1, 5, size=3))
@@ -133,10 +142,8 @@ def _grad_cases(rng, n_cases):
         ("relu", lambda: [away_from_zero(tuple(rng.integers(1, 5, size=2)), 0.2)],
          lambda: (lambda ts: ts[0].relu())),
         ("matmul", matmul_arrays, lambda: binary(lambda a, b: a @ b)),
-        ("softmax", lambda: [rng.standard_normal((int(rng.integers(1, 4)),
-                                                  int(rng.integers(2, 7))))],
-         lambda: softmax_op),
-        ("layer_norm", layer_norm_arrays, lambda: layer_norm_op),
+        ("linear", linear_arrays, lambda: (lambda ts: linear(ts[0], ts[1], ts[2]))),
+        ("layer_norm", layer_norm_arrays, lambda: (lambda ts: layer_norm(ts[0], ts[1], ts[2]))),
         ("dilated_conv1d", conv_arrays, conv_op_factory),
         ("attention", None, attention_case),
         ("gmu", None, gmu_case),

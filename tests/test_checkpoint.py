@@ -58,6 +58,32 @@ def test_restore_missing_tensor_reported(tmp_path):
         restore_into([("w", p)], load_checkpoint(tmp_path / "a.dctm"))
 
 
+# one record 'enc.w' of shape (2, 3): magic 0-5, count 5-13, name length
+# 13-21, name 21-26, rank 26-34, dims 34-50, payload 50-74
+@pytest.mark.parametrize("cut, part", [
+    (9, "the record count"), (17, "record 0 name length"), (23, "record 0 name"),
+    (30, r"record 0 \('enc.w'\) rank"), (40, r"record 0 \('enc.w'\) shape"),
+    (50, r"record 0 \('enc.w'\) payload"), (71, r"record 0 \('enc.w'\) payload")])
+def test_truncated_file_names_record(tmp_path, cut, part):
+    path = tmp_path / "t.dctm"
+    save_checkpoint(path, [("enc.w", np.arange(6, dtype=np.float32).reshape(2, 3))])
+    blob = path.read_bytes()
+    assert len(blob) == 74
+    path.write_bytes(blob[:cut])
+    with pytest.raises(DataError, match=f"t.dctm: truncated in {part}"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_is_a_data_error(tmp_path):
+    path = tmp_path / "n.dctm"
+    save_checkpoint(path, [("enc.w", np.zeros(2, dtype=np.float32))])
+    blob = bytearray(path.read_bytes())
+    blob[21] = 0xFF  # first byte of the name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="record 0 name is not UTF-8"):
+        load_checkpoint(path)
+
+
 def test_truncated_payload_detected(tmp_path):
     path = tmp_path / "t.dctm"
     save_checkpoint(path, [("w", np.arange(6, dtype=np.float32))])

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes and the end-to-end command flow."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,30 @@ class TestConfigErrors:
 
     def test_missing_run_directory(self, tmp_path):
         assert main(["evaluate", "--run", str(tmp_path / "ghost")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("keep", [10, 200, -3])
+    def test_truncated_checkpoint(self, flow, tmp_path, capsys, keep):
+        _, run = flow
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        ckpt = copy / "checkpoint.best.dctm"
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        assert main(["evaluate", "--run", str(copy)]) == EXIT_CONFIG
+        assert "checkpoint.best.dctm: truncated in " in capsys.readouterr().err
+
+    def test_infinite_feature_cell(self, flow, tmp_path, capsys):
+        root, run = flow
+        data = tmp_path / "data"
+        shutil.copytree(root, data)
+        feats = sorted(data.glob("*/*.voice.csv"))[0]
+        lines = feats.read_text().splitlines()
+        first = lines[1].split(",")
+        lines[1] = ",".join([first[0], "inf", *first[2:]])
+        feats.write_text("\n".join(lines) + "\n")
+        for command in (["evaluate"], ["predict", "--out", str(tmp_path / "scores")]):
+            assert main([*command, "--run", str(run), "--split", "train",
+                         f"--data.root={data}"]) == EXIT_CONFIG
+            assert "non-finite value inf" in capsys.readouterr().err
 
     def test_unknown_split(self, flow):
         _, run = flow

@@ -88,6 +88,17 @@ class TestLoadSession:
         with pytest.raises(DataError, match=r"head\.csv:4"):
             load_session(tmp_path, "s000", "expert")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cell_names_line_and_column(self, tmp_path, cell):
+        # empty/NaN cells are missing values; an infinity must not load
+        write_toy_session(tmp_path, T=6)
+        path = tmp_path / "s000" / "expert.voice.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = f"3,0.5,{cell}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"voice\.csv:5: non-finite .* column 3 \('b'\)"):
+            load_session(tmp_path, "s000", "expert")
+
     def test_nan_cells_mask_frames(self, tmp_path):
         write_toy_session(tmp_path, T=6)
         path = tmp_path / "s000" / "expert.voice.csv"

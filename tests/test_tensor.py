@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.errors import ShapeError
 from dctm.gradcheck import check_gradients, scalarize
-from dctm.tensor import Tensor, cat, layer_norm, no_grad, softmax
+from dctm.tensor import Tensor, attention, cat, layer_norm, no_grad
 
 
 def t64(a, requires_grad=False):
@@ -72,24 +72,36 @@ class TestElementwise:
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
 
+def softmax_rows(x):
+    """``attention``'s weights with each row of ``x`` as one query's scores.
+
+    One query of ones against single-feature keys (head dim 1, so the
+    scale is 1) makes the score row exactly the row of ``x``.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    keys = t64(x[:, :, None])
+    _, weights = attention(t64(np.ones((x.shape[0], 1, 1))), keys, keys, heads=1)
+    return weights[:, 0, 0, :]
+
+
 class TestSoftmax:
+    """The max-shifted softmax inside ``attention``."""
+
     def test_uniform(self):
-        out = softmax(t64([0.0, 0.0, 0.0]), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3)
+        np.testing.assert_allclose(softmax_rows([0.0, 0.0, 0.0]), [[1 / 3] * 3])
 
     def test_shift_invariance(self, rng):
         x = rng.standard_normal((4, 7))
-        np.testing.assert_allclose(
-            softmax(t64(x), axis=-1).data, softmax(t64(x + 17.3), axis=-1).data, atol=1e-12)
+        np.testing.assert_allclose(softmax_rows(x), softmax_rows(x + 17.3), atol=1e-12)
 
     def test_closed_form(self):
-        out = softmax(t64(np.log([1.0, 2.0, 3.0])), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+        out = softmax_rows(np.log([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_rows_sum_to_one_nonnegative(self, values):
-        out = softmax(t64(values), axis=-1).data
+        out = softmax_rows(values)
         assert abs(out.sum() - 1.0) <= 1e-6
         assert np.all(out >= 0)
 
@@ -169,7 +181,7 @@ class TestGradcheck:
             }[op]
             check_gradients(scalarize(build_op, [a, b], rng), [a, b])
 
-    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "softmax", "pow"])
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "pow"])
     def test_unary_ops(self, op, rng):
         for _ in range(5):
             x = rng.standard_normal((2, 6)) * 2.0
@@ -181,7 +193,6 @@ class TestGradcheck:
                 "tanh": lambda ts: ts[0].tanh(),
                 "sigmoid": lambda ts: ts[0].sigmoid(),
                 "relu": lambda ts: ts[0].relu(),
-                "softmax": lambda ts: softmax(ts[0], axis=-1),
                 "pow": lambda ts: ts[0] ** 1.7,
             }[op]
             check_gradients(scalarize(build_op, [x], rng), [x])
@@ -204,6 +215,17 @@ class TestGradcheck:
             scalarize(lambda ts: layer_norm(ts[0], ts[1], ts[2]), [x, gain, bias], rng),
             [x, gain, bias])
 
+    def test_attention(self, rng):
+        # batched cross-attention, Tq != Tk; scores span a wide range
+        for _ in range(5):
+            q = rng.standard_normal((2, 3, 6)) * 2.0
+            k = rng.standard_normal((2, 5, 6)) * 2.0
+            v = rng.standard_normal((2, 5, 6))
+            check_gradients(
+                scalarize(lambda ts: attention(ts[0], ts[1], ts[2], heads=2)[0],
+                          [q, k, v], rng),
+                [q, k, v])
+
     def test_reductions_and_movement(self, rng):
         x = rng.standard_normal((3, 4, 5))
         check_gradients(scalarize(lambda ts: ts[0].sum(axis=1), [x], rng), [x])
@@ -219,11 +241,11 @@ class TestGradcheck:
 
 class TestDeterminism:
     def test_repeated_graph_bitwise_identical(self, rng):
-        x = rng.standard_normal((8, 8))
+        x = rng.standard_normal((2, 8, 8))
 
         def run():
             t = t64(x, requires_grad=True)
-            loss = (softmax(t @ t, axis=-1).tanh() * t).sum()
+            loss = (attention(t @ t, t, t, heads=2)[0].tanh() * t).sum()
             loss.backward()
             return loss.item(), t.grad.copy()
 
