@@ -16,7 +16,9 @@ metrics; the cells themselves are imputed to 0 after normalization.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -106,34 +108,57 @@ class WindowBatch:
 # ---------------------------------------------------------------------------
 # CSV ingest
 
+# an empty or whitespace-only cell after a comma: a missing value
+_BLANK_CELL = re.compile(r",[^\S\n]*(?=[,\n])")
+
+
+def _parse_rows(text: str, n_values: int) -> np.ndarray:
+    """Rows of ``frame,v1,...,vn`` CSV text as a structured (frame, values)
+    array, in one C-level parse. Blank lines are skipped and blank cells
+    read as NaN. Raises ValueError for a wrong column count, a frame that
+    is not an integer or a cell that is not a float."""
+    dtype = np.dtype([("frame", np.int64), ("values", np.float64, (n_values,))])
+    text = _BLANK_CELL.sub(",nan", text + "\n")
+    if not text.strip("\n"):
+        return np.empty(0, dtype)
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, dtype=dtype, ndmin=1)
+
+
+def _bad_row(path: Path, body: str, n_columns: int) -> DataError:
+    """The error naming the first row of ``body`` that does not parse."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != n_columns:
+            return DataError(f"{path}:{lineno}: expected {n_columns} columns, got {len(row)}")
+        try:
+            _parse_rows(line, n_columns - 1)
+        except ValueError:
+            return DataError(f"{path}:{lineno}: unparsable row {row!r}")
+    return DataError(f"{path}: unparsable rows")
+
+
 def _read_feature_csv(path: Path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "frame":
-            raise DataError(f"{path}: expected header starting with 'frame'")
-        names = header[1:]
-        frames, rows, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                frames.append(int(row[0]))
-                rows.append([float(c) if c.strip() else np.nan for c in row[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable row {row!r}") from None
-            linenos.append(lineno)
-    feats = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    with open(path) as fh:
+        first, _, body = fh.read().partition("\n")
+    header = next(csv.reader([first]), None)
+    if not header or header[0] != "frame":
+        raise DataError(f"{path}: expected header starting with 'frame'")
+    names = header[1:]
+    try:
+        rows = _parse_rows(body, len(names))
+    except ValueError:
+        raise _bad_row(path, body, len(header)) from None
+    feats = np.ascontiguousarray(rows["values"])
     # empty and NaN cells are missing values; an infinity is not a value at all
     infinite = np.isinf(feats)
     if infinite.any():
         i, j = np.argwhere(infinite)[0]
-        raise DataError(f"{path}:{linenos[i]}: non-finite value {feats[i, j]} "
+        lineno = [n for n, line in enumerate(body.split("\n"), start=2) if line][i]
+        raise DataError(f"{path}:{lineno}: non-finite value {feats[i, j]} "
                         f"in column {j + 2} ('{names[j]}')")
-    return names, np.asarray(frames, dtype=np.int64), feats
+    return names, np.ascontiguousarray(rows["frame"]), feats
 
 
 def _read_labels_csv(path: Path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, layer_norm, linear, xavier_uniform, zeros, ones
+from .tensor import Tensor, layer_norm, linear, residual_norm, xavier_uniform, zeros, ones
 
 
 class Module:
@@ -84,13 +84,19 @@ class LayerNorm(Module):
         self.gain = ones((dim,))
         self.bias = zeros((dim,))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, branch: Tensor | None = None,
+                 keep: np.ndarray | None = None) -> Tensor:
+        """``norm(x)``, or the post-norm residual ``norm(x + branch * keep)``."""
+        if branch is None:
+            return layer_norm(x, self.gain, self.bias)
+        return residual_norm(x, branch, keep, self.gain, self.bias)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+def dropout_mask(like: Tensor, rate: float, rng: np.random.Generator,
+                 training: bool) -> np.ndarray | None:
+    """Inverted-dropout multiplier shaped like ``like``: 0 or 1 / (1 - rate)
+    per cell. None (no dropout) when not training or rate == 0."""
     if not training or rate <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    return x * Tensor(keep / np.asarray(1.0 - rate, dtype=x.dtype))
+        return None
+    keep = (rng.random(like.shape) >= rate).astype(like.dtype)
+    return keep / np.asarray(1.0 - rate, dtype=like.dtype)

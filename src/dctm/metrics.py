@@ -61,10 +61,16 @@ def ccc(x, y, mask=None) -> CccResult:
 
 
 def ccc_loss(pred: Tensor, target, mask=None) -> Tensor:
-    """1 - ccc per window, averaged over the batch; differentiable.
+    """1 - ccc per window, averaged over the batch; one tape node.
 
     pred: (B, W) on the gradient tape. target/mask are plain arrays.
     Masked frames contribute nothing to means, variances, or covariance.
+
+    Per window b with n_b unmasked frames, mask m, masked deviations
+    t~ = (t - mean_t) * m and dp = (p - mean_p) * m, gap_b = mean_p - mean_t
+    and D_b = var_p + var_t + gap_b^2, the gradient (Lin 1989) is
+
+        dL/dp_i = -2 / (B * n_b * D_b) * [t~_i - (2 * cov_b / D_b) * (dp_i + gap_b * m_i)]
     """
     if pred.ndim != 2:
         raise ShapeError(f"ccc_loss expects (B, W) predictions, got {pred.shape}")
@@ -81,21 +87,23 @@ def ccc_loss(pred: Tensor, target, mask=None) -> Tensor:
     if np.any(counts < 2):
         raise ValueError("ccc_loss: every window needs at least 2 unmasked frames")
 
-    # target-side statistics carry no gradient; precompute in numpy
     inv_n = (1.0 / counts).astype(dtype)
     t_mean = (tgt * m).sum(axis=1, keepdims=True) * inv_n
     t_dev = (tgt - t_mean) * m
     t_var = (t_dev * t_dev).sum(axis=1, keepdims=True) * inv_n
+    mean_p = (pred.data * m).sum(axis=1, keepdims=True) * inv_n
+    dp = (pred.data - mean_p) * m
+    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_n
+    cov = (dp * t_dev).sum(axis=1, keepdims=True) * inv_n
+    gap = mean_p - t_mean
+    denom = var_p + t_var + gap * gap
+    loss = (1.0 - (cov * 2.0) / denom).mean()
 
-    mt = Tensor(m)
-    inv_t = Tensor(inv_n)
-    mean_p = (pred * mt).sum(axis=1, keepdims=True) * inv_t
-    dp = (pred - mean_p) * mt
-    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_t
-    cov = (dp * Tensor(t_dev)).sum(axis=1, keepdims=True) * inv_t
-    gap = mean_p - Tensor(t_mean)
-    denom = var_p + Tensor(t_var) + gap * gap
-    return (1.0 - (cov * 2.0) / denom).mean()
+    def bw(g):
+        scale = (-2.0 / B) * g * inv_n / denom
+        return (scale * (t_dev - (2.0 * cov / denom) * (dp + gap * m)),)
+
+    return Tensor._op(loss, (pred,), bw)
 
 
 def magnitude_ccc(features: np.ndarray, labels, mask=None) -> CccResult:

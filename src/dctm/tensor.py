@@ -179,9 +179,6 @@ class Tensor:
         out = self.data ** p
         return Tensor._op(out, (a,), lambda g: (g * p * a.data ** (p - 1),))
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     # -- pointwise nonlinearities -------------------------------------------
 
     def tanh(self) -> "Tensor":
@@ -317,6 +314,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._op(out, (x, weight, bias), bw)
 
 
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    gxh = g * gain
+    gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
+                - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+    g2 = g.reshape(-1, g.shape[-1])
+    return gx, (g * xhat).reshape(g2.shape).sum(axis=0), g2.sum(axis=0)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
@@ -324,19 +336,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
     normalized input ``xhat`` and inverse deviation ``inv``.
     """
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
+    return Tensor._op(out, (x, gain, bias),
+                      lambda g: _layer_norm_backward(g, xhat, inv, gain.data))
+
+
+def residual_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, gain: Tensor,
+                  bias: Tensor) -> Tensor:
+    """``layer_norm(x + y * keep)`` as one tape node: a post-norm residual.
+
+    ``keep`` is the inverted-dropout multiplier of branch ``y`` (0 or
+    1 / (1 - rate) per cell), or None for no dropout. The backward is
+    ``layer_norm``'s; ``x`` receives its input gradient and ``y`` that
+    gradient times ``keep``.
+    """
+    s = x.data + (y.data if keep is None else y.data * keep)
+    out, xhat, inv = _layer_norm_forward(s, gain.data, bias.data)
 
     def bw(g):
-        gxh = g * gain.data
-        gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
-                    - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
-        g2 = g.reshape(-1, g.shape[-1])
-        return gx, (g * xhat).reshape(g2.shape).sum(axis=0), g2.sum(axis=0)
+        gs, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.data)
+        return gs, (gs if keep is None else gs * keep), ggain, gbias
 
-    return Tensor._op(out, (x, gain, bias), bw)
+    return Tensor._op(out, (x, y, gain, bias), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .layers import Linear, LayerNorm, Module, ModuleList, dropout
+from .layers import Linear, LayerNorm, Module, ModuleList, dropout_mask
 from .tensor import Tensor, attention
 
 
@@ -103,8 +103,8 @@ class EncoderLayer(Module):
         self.rate = cfg.dropout
 
     def __call__(self, x: Tensor, rng, training: bool) -> Tensor:
-        x = self.norm1(x + dropout(self.attn(x), self.rate, rng, training))
-        x = self.norm2(x + dropout(self.ff(x), self.rate, rng, training))
+        x = self.norm1(x, self.attn(x), dropout_mask(x, self.rate, rng, training))
+        x = self.norm2(x, self.ff(x), dropout_mask(x, self.rate, rng, training))
         return x
 
 
@@ -120,9 +120,10 @@ class DecoderLayer(Module):
         self.rate = cfg.dropout
 
     def __call__(self, x: Tensor, memory: Tensor, rng, training: bool) -> Tensor:
-        x = self.norm1(x + dropout(self.self_attn(x), self.rate, rng, training))
-        x = self.norm2(x + dropout(self.cross_attn(x, memory=memory), self.rate, rng, training))
-        x = self.norm3(x + dropout(self.ff(x), self.rate, rng, training))
+        x = self.norm1(x, self.self_attn(x), dropout_mask(x, self.rate, rng, training))
+        x = self.norm2(x, self.cross_attn(x, memory=memory),
+                       dropout_mask(x, self.rate, rng, training))
+        x = self.norm3(x, self.ff(x), dropout_mask(x, self.rate, rng, training))
         return x
 
 

@@ -20,7 +20,7 @@ from .fusion import GmuUnit
 from .gradcheck import check_gradients, scalarize
 from .metrics import ccc, ccc_loss
 from .reference import attention_single_head_loop, ccc_two_pass, conv1d_direct, conv1d_flip
-from .tensor import Tensor, layer_norm, linear
+from .tensor import Tensor, layer_norm, linear, residual_norm
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
 
 GRAD_RTOL = 1e-4
@@ -89,6 +89,17 @@ def _grad_cases(rng, n_cases):
         return [rng.standard_normal((B, T, D)), rng.standard_normal(D),
                 rng.standard_normal(D)]
 
+    dropout_turn = itertools.cycle([False, True])
+
+    def residual_norm_case():
+        x, gain, bias = layer_norm_arrays()
+        y = rng.standard_normal(x.shape)
+        keep = None
+        if next(dropout_turn):
+            # every other case drops a branch cell with probability 0.3
+            keep = (rng.random(x.shape) >= 0.3) / 0.7
+        return ([x, y, gain, bias], lambda ts: residual_norm(ts[0], ts[1], keep, ts[2], ts[3]))
+
     def conv_arrays():
         B, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
         T = int(rng.integers(1, 10))
@@ -131,7 +142,10 @@ def _grad_cases(rng, n_cases):
     def ccc_loss_case():
         B, W = int(rng.integers(1, 4)), int(rng.integers(3, 10))
         target = rng.random((B, W))
-        return ([rng.random((B, W))], lambda ts: ccc_loss(ts[0], target))
+        # a partial mask; two columns stay in so every window keeps 2 frames
+        mask = rng.random((B, W)) < 0.6
+        mask[:, rng.choice(W, size=2, replace=False)] = True
+        return ([rng.random((B, W))], lambda ts: ccc_loss(ts[0], target, mask))
 
     return [
         ("add", elementwise_arrays, lambda: binary(lambda a, b: a + b)),
@@ -144,6 +158,7 @@ def _grad_cases(rng, n_cases):
         ("matmul", matmul_arrays, lambda: binary(lambda a, b: a @ b)),
         ("linear", linear_arrays, lambda: (lambda ts: linear(ts[0], ts[1], ts[2]))),
         ("layer_norm", layer_norm_arrays, lambda: (lambda ts: layer_norm(ts[0], ts[1], ts[2]))),
+        ("residual_norm", None, residual_norm_case),
         ("dilated_conv1d", conv_arrays, conv_op_factory),
         ("attention", None, attention_case),
         ("gmu", None, gmu_case),

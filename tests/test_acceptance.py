@@ -208,6 +208,7 @@ def test_criterion_06_overfit_smoke():
                  f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_learnability(voice_data):
     train, val, ridge = voice_data
     outcomes = []
@@ -224,6 +225,7 @@ def test_criterion_07_synthetic_learnability(voice_data):
              ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_08_gmu_gate_sanity(voice_data):
     train, val, _ = voice_data
     gates = []

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dctm.data import (
+    _read_feature_csv,
     MODALITIES,
     NormStats,
     Session,
@@ -116,6 +119,74 @@ class TestLoadSession:
         assert s.labels is None
         with pytest.raises(DataError, match="labels"):
             load_session(tmp_path, "s000", "expert")
+
+
+def per_cell_csv_reader(path):
+    """A csv-module reader calling float() on each cell: the oracle for the
+    bulk parse's values."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        frames, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            frames.append(int(row[0]))
+            rows.append([float(c) if c.strip() else np.nan for c in row[1:]])
+    feats = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return header[1:], np.asarray(frames, dtype=np.int64), feats
+
+
+class TestBulkCsvIngest:
+    def test_matches_per_cell_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-8, 9, size=(200, 4))
+        lines = ["frame,a,b,c,d"]
+        for t, row in enumerate(values):
+            cells = [repr(float(row[0])), f"{row[1]:.7g}", f"{row[2]:.3e}", f" {row[3]:.17g} "]
+            lines.append(f"{t}," + ",".join(cells))
+        lines[3] = "2,,nan,   ,-0.0"    # empty, nan, whitespace-only cells
+        lines[7] = "6,NaN,1e-320,\t,7"  # a subnormal and a tab-only cell
+        lines[9] = "8,1,2,3,"           # trailing empty cell
+        lines.insert(12, "")            # blank lines are skipped
+        lines.insert(30, "")
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(lines))  # no newline after the last row
+        got, want = _read_feature_csv(path), per_cell_csv_reader(path)
+        assert got[0] == want[0] == ["a", "b", "c", "d"]
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2].dtype == np.float64 and got[2].shape == (200, 4)
+        np.testing.assert_array_equal(got[2], want[2])  # NaNs compare equal here
+        finite = np.isfinite(want[2])
+        assert got[2][finite].tobytes() == want[2][finite].tobytes()
+        assert np.isnan(got[2][2, :3]).all() and np.isnan(got[2][6, [0, 2]]).all()
+        assert np.isnan(got[2][8, 3])
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("frame,a,b\n\n")
+        names, frames, feats = _read_feature_csv(path)
+        assert names == ["a", "b"] and frames.shape == (0,) and feats.shape == (0, 2)
+
+    @pytest.mark.parametrize("line, message", [
+        ("2,0.5", r"x\.csv:4: expected 3 columns, got 2"),
+        ("2,0.5,1,1", r"x\.csv:4: expected 3 columns, got 4"),
+        ("   ", r"x\.csv:4: expected 3 columns, got 1"),
+        ("2.5,0.5,1", r"x\.csv:4: unparsable row \['2\.5', '0\.5', '1'\]"),
+        (",0.5,1", r"x\.csv:4: unparsable row"),
+        ("2,0.5,one", r"x\.csv:4: unparsable row"),
+    ])
+    def test_first_bad_row_is_located(self, tmp_path, line, message):
+        path = tmp_path / "x.csv"
+        path.write_text(f"frame,a,b\n0,1,2\n\n{line}\n3,4,5\n4,oops,6\n")
+        with pytest.raises(DataError, match=message):
+            _read_feature_csv(path)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("time,a\n0,1\n")
+        with pytest.raises(DataError, match="header starting with 'frame'"):
+            _read_feature_csv(path)
 
 
 class TestNormalize:

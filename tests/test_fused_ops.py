@@ -1,5 +1,6 @@
-"""The fused ops ``linear``, ``layer_norm`` and ``attention`` against numpy
-and loop references, in float64 and float32.
+"""The fused ops ``linear``, ``layer_norm``, ``residual_norm``, ``attention``
+and ``ccc_loss`` against numpy, loop and composed-op references, in float64
+and float32.
 
 Each op is one tape node with a hand-written backward, so these tests pin
 its forward to an independent formula, its backward to the same math
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from dctm.errors import ShapeError
+from dctm.layers import LayerNorm, dropout_mask
+from dctm.metrics import ccc_loss
 from dctm.reference import attention_single_head_loop
-from dctm.tensor import Tensor, attention, layer_norm, linear
+from dctm.tensor import Tensor, attention, layer_norm, linear, residual_norm
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -154,3 +157,112 @@ def test_attention_rejects_mismatched_shapes():
         attention(q, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 6, 4))), heads=2)
     with pytest.raises(ShapeError, match="3 heads"):
         attention(q, q, q, heads=3)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_residual_norm_matches_composed_dropout_add_norm(rng, dtype, training):
+    B, T, D, rate = 3, 5, 6, 0.3
+    x, y = (rng.standard_normal((B, T, D)).astype(dtype) for _ in range(2))
+    gain, bias = (rng.standard_normal(D).astype(dtype) for _ in range(2))
+    probe = rng.standard_normal((B, T, D))
+    keep = dropout_mask(Tensor(x), rate, np.random.default_rng(5), training)
+    assert (keep is None) == (not training)
+
+    def composed(ts):
+        branch = ts[1] if keep is None else ts[1] * Tensor(keep.astype(ts[1].dtype))
+        return layer_norm(ts[0] + branch, ts[2], ts[3])
+
+    out, grads = grads_of(lambda ts: residual_norm(ts[0], ts[1], keep, ts[2], ts[3]),
+                          [x, y, gain, bias], probe)
+    assert_dtype(out, grads, dtype)
+    # inverted dropout as a separate multiply, from the same draw: bit-identical
+    drawn = np.random.default_rng(5).random(x.shape) >= rate
+    dropped = y * (drawn.astype(dtype) / np.asarray(1.0 - rate, dtype)) if training else y
+    want = layer_norm(Tensor(x + dropped), Tensor(gain), Tensor(bias)).data
+    assert np.array_equal(out.data, want)
+
+    _, ref = grads_of(composed, [a.astype(np.float64) for a in (x, y, gain, bias)], probe)
+    for got, r in zip(grads, ref):
+        assert_close(got, r, dtype)
+
+
+def test_layer_norm_module_routes_the_residual_through_one_node(rng):
+    norm = LayerNorm(4)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    out = norm(x, y, None)
+    assert out._parents == (x, y, norm.gain, norm.bias)
+    assert np.array_equal(out.data, norm(x + y).data)
+
+
+def composed_ccc_loss(pred, target, mask):
+    """1 - CCC per window from primitive tape ops: the reference for the
+    fused node's value (same NumPy ops, same order) and its gradient."""
+    dtype = pred.dtype
+    m = np.asarray(mask, dtype=dtype)
+    tgt = np.asarray(target, dtype=dtype)
+    inv_n = (1.0 / m.sum(axis=1, keepdims=True)).astype(dtype)
+    t_mean = (tgt * m).sum(axis=1, keepdims=True) * inv_n
+    t_dev = (tgt - t_mean) * m
+    t_var = (t_dev * t_dev).sum(axis=1, keepdims=True) * inv_n
+    mt, inv_t = Tensor(m), Tensor(inv_n)
+    mean_p = (pred * mt).sum(axis=1, keepdims=True) * inv_t
+    dp = (pred - mean_p) * mt
+    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_t
+    cov = (dp * Tensor(t_dev)).sum(axis=1, keepdims=True) * inv_t
+    gap = mean_p - Tensor(t_mean)
+    denom = var_p + Tensor(t_var) + gap * gap
+    return (1.0 - (cov * 2.0) / denom).mean()
+
+
+def partial_mask(rng, B, W):
+    """Random (B, W) mask; every window keeps at least 2 frames, one keeps exactly 2."""
+    mask = rng.random((B, W)) < 0.6
+    for row in mask:
+        row[rng.choice(W, size=2, replace=False)] = True
+    mask[0] = False
+    mask[0, [1, W - 1]] = True
+    return mask
+
+
+class TestCccLoss:
+    B, W = 4, 9
+
+    def draw(self, rng, dtype):
+        pred = rng.random((self.B, self.W)).astype(dtype)
+        return pred, rng.random((self.B, self.W)), partial_mask(rng, self.B, self.W)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_value_is_the_composed_formula_bit_for_bit(self, rng, dtype):
+        pred, target, mask = self.draw(rng, dtype)
+        got = ccc_loss(Tensor(pred), target, mask)
+        want = composed_ccc_loss(Tensor(pred), target, mask)
+        assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gradient_matches_composed_graph(self, rng, dtype):
+        pred, target, mask = self.draw(rng, dtype)
+        p = Tensor(pred, requires_grad=True)
+        loss = ccc_loss(p, target, mask)
+        assert len(loss._parents) == 1 and loss._parents[0] is p
+        (loss * 3.0).backward()
+        assert p.grad.dtype == dtype
+        ref = Tensor(pred.astype(np.float64), requires_grad=True)
+        (composed_ccc_loss(ref, target, mask) * 3.0).backward()
+        assert_close(p.grad, ref.grad, dtype)
+        assert not np.any(p.grad[~mask])
+
+    def test_unmasked_default_matches_all_ones_mask(self, rng):
+        pred, target, _ = self.draw(rng, np.float64)
+        a, b = Tensor(pred, requires_grad=True), Tensor(pred, requires_grad=True)
+        ccc_loss(a, target).backward()
+        ccc_loss(b, target, np.ones(pred.shape, dtype=bool)).backward()
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_window_with_one_frame_rejected(self, rng):
+        pred, target, mask = self.draw(rng, np.float64)
+        mask[2] = False
+        mask[2, 4] = True
+        with pytest.raises(ValueError, match="at least 2"):
+            ccc_loss(Tensor(pred), target, mask)

@@ -17,7 +17,7 @@ from dctm.verify import (
 
 EXPECTED_OPS = {
     "add", "mul", "div", "tanh", "sigmoid", "relu", "matmul", "linear",
-    "layer_norm", "dilated_conv1d", "attention", "gmu", "sigmoid_head",
+    "layer_norm", "residual_norm", "dilated_conv1d", "attention", "gmu", "sigmoid_head",
     "ccc_loss",
 }
 
