@@ -41,11 +41,11 @@ def _patch_indices(T: int, K: int, dilation: int) -> np.ndarray:
     return np.arange(T)[None, :] + dilation * np.arange(K)[:, None]
 
 
-def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int) -> Tensor:
+def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Tensor:
     """Apply one dilated conv layer.
 
-    x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,) or None.
-    Returns (B, C_out, T).
+    x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,); a bias-free
+    kernel takes zeros, which add exactly. Returns (B, C_out, T).
     """
     B, C_in, T = x.shape
     C_out, C_w, K = weight.shape
@@ -58,19 +58,14 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     patches = xpad[:, :, idx]                       # (B, C_in, K, T)
     out = np.tensordot(weight.data, patches, axes=([1, 2], [1, 2]))  # (C_out, B, T)
     out = np.ascontiguousarray(np.moveaxis(out, 0, 1))
-    if bias is not None:
-        out = out + bias.data[None, :, None]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = out + bias.data[None, :, None]
 
     def bw(g):
         gx = _conv_input_grad(g, weight.data, dilation, (B, C_in, T), pad)
         gw = np.tensordot(g, patches, axes=([0, 2], [0, 3]))  # (C_out, C_in, K)
-        if bias is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(0, 2))
 
-    return Tensor._op(out, parents, bw)
+    return Tensor._op(out, (x, weight, bias), bw)
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, dilation: int,

@@ -272,9 +272,14 @@ class NormStats:
                 raise DataError(f"{path}: expected header name,mean,std")
             names, mean, std = [], [], []
             for row in reader:
-                names.append(row[0])
-                mean.append(float(row[1]))
-                std.append(float(row[2]))
+                try:
+                    name, m, s = row
+                    mean.append(float(m))
+                    std.append(float(s))
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: expected name,mean,std "
+                                    f"with two numbers, got {row!r}") from None
+                names.append(name)
         return cls(names, np.asarray(mean), np.asarray(std))
 
 
@@ -497,16 +502,24 @@ def write_splits(root, train_ids: list[str], val_ids: list[str]) -> None:
         fh.write("\n")
 
 
-def load_splits(root) -> dict:
-    path = Path(root) / "splits.json"
+def read_json(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``; it must hold every key in ``keys``."""
     if not path.exists():
-        raise DataError(f"missing split file: {path}")
-    with open(path) as fh:
-        splits = json.load(fh)
-    for key in ("train", "val"):
-        if key not in splits:
+        raise DataError(f"missing file: {path}")
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
             raise DataError(f"{path}: missing '{key}' entry")
-    return splits
+    return obj
+
+
+def load_splits(root) -> dict:
+    return read_json(Path(root) / "splits.json", ("train", "val"))
 
 
 def generate_dataset(root, spec: SyntheticSpec, val_fraction: float = 0.2) -> dict:

@@ -78,10 +78,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -153,32 +149,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape, "div")
-        out = self.data / other.data
-        a, b = self, other
-
-        def bw(g):
-            return (_unbroadcast(g / b.data, a.shape),
-                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return Tensor._op(out, (a, b), bw)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        a = self
-        return Tensor._op(-self.data, (a,), lambda g: (-g,))
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        out = self.data ** p
-        return Tensor._op(out, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
     # -- pointwise nonlinearities -------------------------------------------
 
     def tanh(self) -> "Tensor":
@@ -199,78 +169,23 @@ class Tensor:
         a = self
         return Tensor._op(out, (a,), lambda g: (g * (a.data > 0),))
 
-    # -- reductions ---------------------------------------------------------
+    # -- reduction and shape manipulation ------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self) -> "Tensor":
+        """Sum of every element, as a 0-d tensor of the same dtype."""
         a = self
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-        axes = _normalize_axes(axis, self.ndim)
-
-        def bw(g):
-            gg = g
-            if not keepdims and axes is not None:
-                gg = np.expand_dims(g, axes)
-            return (np.broadcast_to(gg, a.shape),)
-
-        return Tensor._op(out, (a,), bw)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out = self.data.mean(axis=axis, keepdims=keepdims)
-        axes = _normalize_axes(axis, self.ndim)
-        n = self.size if axes is None else int(np.prod([self.shape[i] for i in axes]))
-
-        def bw(g):
-            gg = g
-            if not keepdims and axes is not None:
-                gg = np.expand_dims(g, axes)
-            return (np.broadcast_to(gg, a.shape) / n,)
-
-        return Tensor._op(out, (a,), bw)
-
-    # -- linear algebra -----------------------------------------------------
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-        _check_broadcast(a.shape[:-2], b.shape[:-2], "matmul batch dims")
-        out = a.data @ b.data
-
-        def bw(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return ga, gb
-
-        return Tensor._op(out, (a, b), bw)
-
-    # -- shape manipulation -------------------------------------------------
+        return Tensor._op(self.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         out = self.data.reshape(shape)
         return Tensor._op(out, (a,), lambda g: (g.reshape(a.shape),))
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         a = self
         inv = tuple(np.argsort(axes))
         out = self.data.transpose(axes)
         return Tensor._op(out, (a,), lambda g: (g.transpose(inv),))
-
-
-def _normalize_axes(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
 
 
 def _toposort(root: Tensor) -> list:

@@ -33,6 +33,7 @@ from .data import (
     make_windows,
     normalize,
     overlap_average,
+    read_json,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import CccResult, ccc, ccc_loss
@@ -184,6 +185,9 @@ def score_sessions(model: DctmModel, sessions: list[Session], cfg: DctmConfig):
         if session.labels is None:
             raise DataError(f"session {session.key} has no labels to score against")
         mask = session.frame_mask
+        if np.count_nonzero(mask) < 2:
+            raise DataError(f"session {session.key} has fewer than 2 frames valid in "
+                            f"every modality; its CCC is undefined")
         pred, true = predictions[session.key][mask], session.labels[mask]
         per_session.append(SessionScore.from_result(session.key, ccc(pred, true)))
         all_pred.append(pred)
@@ -238,8 +242,10 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
     optimizer = Adam(params, lr=cfg.optim.lr, beta1=cfg.optim.beta1,
                      beta2=cfg.optim.beta2, eps=cfg.optim.eps)
 
-    windows = [w for s in train_norm for w in make_windows(s, cfg.data.window,
-                                                           cfg.data.stride)]
+    # CCC is undefined on fewer than 2 valid frames, so such windows cannot train
+    windows = [w for s in train_norm
+               for w in make_windows(s, cfg.data.window, cfg.data.stride)
+               if np.count_nonzero(w.mask) >= 2]
     if not windows:
         raise ConfigError("training dataset produced no windows")
 
@@ -358,10 +364,7 @@ def load_run(run_dir, overrides: dict[str, str] | None = None):
     if not run.is_dir():
         raise DataError(f"run directory not found: {run}")
     cfg = resolve_config(run / "config.txt", overrides)
-    meta_path = run / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"missing meta file: {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(run / "meta.json", ("feature_dims",))
     stats = NormStats.load(run / "norm_stats.csv")
     model = DctmModel(cfg, meta["feature_dims"], np.random.default_rng(cfg.seed))
     return cfg, model, stats, meta

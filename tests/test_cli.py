@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and the end-to-end command flow."""
 
+import json
 import shutil
 
 import numpy as np
@@ -20,6 +21,40 @@ TINY = [
     "--data.window=32",
     "--data.stride=16",
 ]
+
+
+def replace_line(text, index, line):
+    lines = text.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+def blank_cells(path, rows):
+    """Empty every feature cell of the given data rows of a modality CSV."""
+    lines = path.read_text().splitlines()
+    for r in rows:
+        frame, *cells = lines[1 + r].split(",")
+        lines[1 + r] = ",".join([frame] + [""] * len(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# file under the copied run/data directories, its corruption, the error it must give
+MALFORMED = {
+    "short_stats_row": ("run/norm_stats.csv", lambda t: replace_line(t, 2, "head.f1,0.5"),
+                        "norm_stats.csv:3: expected name,mean,std"),
+    "non_float_stats_cell": ("run/norm_stats.csv",
+                             lambda t: replace_line(t, 1, "head.f0,banana,1.0"),
+                             "norm_stats.csv:2: expected name,mean,std"),
+    "meta_not_json": ("run/meta.json", lambda t: t[:len(t) // 2], "meta.json: invalid JSON"),
+    "meta_not_an_object": ("run/meta.json", lambda t: "3",
+                           "meta.json: expected a JSON object"),
+    "meta_without_dims": ("run/meta.json",
+                          lambda t: json.dumps({k: v for k, v in json.loads(t).items()
+                                                if k != "feature_dims"}),
+                          "meta.json: missing 'feature_dims'"),
+    "splits_not_json": ("data/splits.json", lambda t: t.replace("]", "", 1),
+                        "splits.json: invalid JSON"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +153,19 @@ class TestConfigErrors:
                          f"--data.root={data}"]) == EXIT_CONFIG
             assert "non-finite value inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, corrupt, message", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_malformed_run_file_names_it(self, flow, tmp_path, capsys, target, corrupt,
+                                         message):
+        root, run = flow
+        shutil.copytree(run, tmp_path / "run")
+        shutil.copytree(root, tmp_path / "data")
+        path = tmp_path / target
+        path.write_text(corrupt(path.read_text()))
+        assert main(["evaluate", "--run", str(tmp_path / "run"),
+                     f"--data.root={tmp_path / 'data'}"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_unknown_split(self, flow):
         _, run = flow
         assert main(["evaluate", "--run", str(run), "--split", "test"]) == EXIT_CONFIG
@@ -133,6 +181,29 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r"),
                      "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+
+class TestTooFewValidFrames:
+    """CCC is undefined on fewer than 2 valid frames."""
+
+    def copy_data(self, flow, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(flow[0], data)
+        return data, json.loads((data / "splits.json").read_text())
+
+    def test_training_skips_such_windows(self, flow, tmp_path):
+        data, splits = self.copy_data(flow, tmp_path)
+        # windows starting at frames 0, 16 and 32 have no valid frame
+        blank_cells(data / splits["train"][0] / "expert.voice.csv", range(64))
+        assert main(["train", "--out", str(tmp_path / "r"), f"--data.root={data}",
+                     *TINY]) == EXIT_OK
+
+    def test_such_a_val_session_is_a_data_error(self, flow, tmp_path, capsys):
+        data, splits = self.copy_data(flow, tmp_path)
+        blank_cells(data / splits["val"][0] / "expert.voice.csv", range(80))
+        assert main(["train", "--out", str(tmp_path / "r"), f"--data.root={data}",
+                     *TINY]) == EXIT_CONFIG
+        assert f"session {splits['val'][0]}/expert has fewer than 2" in capsys.readouterr().err
 
 
 class TestNumericalErrors:

@@ -14,8 +14,9 @@ def t64(a):
 
 
 def conv(x, w, bias=None, dilation=1):
-    b = None if bias is None else t64(bias)
-    return dilated_conv1d(t64(x), t64(w), b, dilation).data
+    # a zero bias adds +0.0, which is exact: the bias-free equalities stay exact
+    b = np.zeros(np.shape(w)[0]) if bias is None else bias
+    return dilated_conv1d(t64(x), t64(w), t64(b), dilation).data
 
 
 class TestDilatedConv:

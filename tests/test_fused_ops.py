@@ -1,16 +1,23 @@
 """The fused ops ``linear``, ``layer_norm``, ``residual_norm``, ``attention``
-and ``ccc_loss`` against numpy, loop and composed-op references, in float64
-and float32.
+and ``ccc_loss`` against numpy, loop, composed-op and complex-step
+references, in float64 and float32.
 
 Each op is one tape node with a hand-written backward, so these tests pin
-its forward to an independent formula, its backward to the same math
-composed from primitive ops, and its dtype: a float32 input gives a float32
-output and float32 gradients.
+its forward to an independent formula, its backward to a reference
+gradient, and its dtype: a float32 input gives a float32 output and
+float32 gradients. The ``layer_norm`` and ``ccc_loss`` references
+differentiate plain NumPy forwards by complex step, which is exact to
+rounding.
 """
+
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
+import dctm.metrics
+import dctm.tensor
 from dctm.errors import ShapeError
 from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
@@ -40,6 +47,25 @@ def grads_of(op, arrays, probe):
     out = op(ts)
     (out * Tensor(probe.astype(out.dtype))).sum().backward()
     return out, [t.grad for t in ts]
+
+
+def complex_step_grads(f, arrays, h=1e-30):
+    """Every input's gradient of the real scalar ``f`` at float64 ``arrays``.
+
+    Complex step (Squire & Trapp 1998): f(x + ih e_k) = f(x) + ih df/dx_k
+    + O(h^2), so df/dx_k = Im f / h. Nothing is subtracted, so the result is
+    exact to rounding. ``f`` must be analytic: no abs, max or comparisons.
+    """
+    z = [np.asarray(a, dtype=np.complex128) for a in arrays]
+    grads = []
+    for a in z:
+        g = np.empty(a.shape)
+        for k in np.ndindex(a.shape):
+            a[k] += 1j * h
+            g[k] = f(z).imag / h
+            a[k] -= 1j * h
+        grads.append(g)
+    return grads
 
 
 def assert_close(got, want, dtype):
@@ -76,16 +102,14 @@ def test_linear_rejects_feature_mismatch():
         linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))), Tensor(np.zeros(6)))
 
 
-def composed_layer_norm(x, gain, bias):
-    """LayerNorm from primitive tape ops: the reference for the fused backward."""
+def numpy_layer_norm(x, gain, bias):
+    """LayerNorm in plain NumPy: population variance, eps 1e-5."""
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + 1e-5) ** -0.5 * gain + bias
+    return centered / np.sqrt(var + 1e-5) * gain + bias
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", list(CASES))
-def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
+def assert_layer_norm_matches(rng, case, dtype):
     D = 7
     x = draw_input(rng, case, D, dtype)
     gain = rng.standard_normal(D).astype(dtype)
@@ -94,15 +118,31 @@ def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
     out, grads = grads_of(lambda ts: layer_norm(*ts), [x, gain, bias], probe)
     assert_dtype(out, grads, dtype)
 
-    x64 = x.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
-    assert_close(out.data, (x64 - mu) / np.sqrt(var + 1e-5) * gain + bias, dtype)
-
     arrays64 = [a.astype(np.float64) for a in (x, gain, bias)]
-    _, want = grads_of(lambda ts: composed_layer_norm(*ts), arrays64, probe)
+    assert_close(out.data, numpy_layer_norm(*arrays64), dtype)
+    want = complex_step_grads(lambda z: (numpy_layer_norm(*z) * probe).sum(), arrays64)
     for got, ref in zip(grads, want):
         assert_close(got, ref, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
+    assert_layer_norm_matches(rng, case, dtype)
+
+
+def test_complex_step_reference_sees_a_1e9_layer_norm_error(rng, monkeypatch):
+    """An input gradient off by 1e-9 relative fails the float64 comparison;
+    central differences at ``dctm verify``'s 1e-4 cannot see it."""
+    true_backward = dctm.tensor._layer_norm_backward
+
+    def skewed(*args):
+        gx, ggain, gbias = true_backward(*args)
+        return gx * (1.0 + 1e-9), ggain, gbias
+
+    monkeypatch.setattr(dctm.tensor, "_layer_norm_backward", skewed)
+    with pytest.raises(AssertionError):
+        assert_layer_norm_matches(rng, "batched", np.float64)
 
 
 # (B, Tq, Tk): self-attention, cross-attention and a single frame
@@ -196,9 +236,9 @@ def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     assert np.array_equal(out.data, norm(x + y).data)
 
 
-def composed_ccc_loss(pred, target, mask):
-    """1 - CCC per window from primitive tape ops: the reference for the
-    fused node's value (same NumPy ops, same order) and its gradient."""
+def numpy_ccc_loss(pred, target, mask):
+    """1 - CCC per window, batch mean, in plain NumPy: ``ccc_loss``'s forward,
+    the same ops in the same order, so its value must match byte for byte."""
     dtype = pred.dtype
     m = np.asarray(mask, dtype=dtype)
     tgt = np.asarray(target, dtype=dtype)
@@ -206,13 +246,12 @@ def composed_ccc_loss(pred, target, mask):
     t_mean = (tgt * m).sum(axis=1, keepdims=True) * inv_n
     t_dev = (tgt - t_mean) * m
     t_var = (t_dev * t_dev).sum(axis=1, keepdims=True) * inv_n
-    mt, inv_t = Tensor(m), Tensor(inv_n)
-    mean_p = (pred * mt).sum(axis=1, keepdims=True) * inv_t
-    dp = (pred - mean_p) * mt
-    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_t
-    cov = (dp * Tensor(t_dev)).sum(axis=1, keepdims=True) * inv_t
-    gap = mean_p - Tensor(t_mean)
-    denom = var_p + Tensor(t_var) + gap * gap
+    mean_p = (pred * m).sum(axis=1, keepdims=True) * inv_n
+    dp = (pred - mean_p) * m
+    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_n
+    cov = (dp * t_dev).sum(axis=1, keepdims=True) * inv_n
+    gap = mean_p - t_mean
+    denom = var_p + t_var + gap * gap
     return (1.0 - (cov * 2.0) / denom).mean()
 
 
@@ -233,25 +272,37 @@ class TestCccLoss:
         pred = rng.random((self.B, self.W)).astype(dtype)
         return pred, rng.random((self.B, self.W)), partial_mask(rng, self.B, self.W)
 
+    def assert_gradient_matches(self, loss_fn, rng, dtype):
+        pred, target, mask = self.draw(rng, dtype)
+        p = Tensor(pred, requires_grad=True)
+        loss = loss_fn(p, target, mask)
+        assert len(loss._parents) == 1 and loss._parents[0] is p
+        (loss * 3.0).backward()
+        assert p.grad.dtype == dtype
+        [ref] = complex_step_grads(lambda z: numpy_ccc_loss(z[0], target, mask),
+                                   [pred.astype(np.float64)])
+        assert_close(p.grad, 3.0 * ref, dtype)
+        assert not np.any(p.grad[~mask])
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_value_is_the_composed_formula_bit_for_bit(self, rng, dtype):
         pred, target, mask = self.draw(rng, dtype)
         got = ccc_loss(Tensor(pred), target, mask)
-        want = composed_ccc_loss(Tensor(pred), target, mask)
-        assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+        want = numpy_ccc_loss(pred, target, mask)
+        assert got.dtype == dtype and got.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_gradient_matches_composed_graph(self, rng, dtype):
-        pred, target, mask = self.draw(rng, dtype)
-        p = Tensor(pred, requires_grad=True)
-        loss = ccc_loss(p, target, mask)
-        assert len(loss._parents) == 1 and loss._parents[0] is p
-        (loss * 3.0).backward()
-        assert p.grad.dtype == dtype
-        ref = Tensor(pred.astype(np.float64), requires_grad=True)
-        (composed_ccc_loss(ref, target, mask) * 3.0).backward()
-        assert_close(p.grad, ref.grad, dtype)
-        assert not np.any(p.grad[~mask])
+        self.assert_gradient_matches(ccc_loss, rng, dtype)
+
+    def test_reference_sees_a_gradient_without_its_gap_term(self, rng):
+        """``ccc_loss`` with ``gap_b * m`` dropped from its backward fails."""
+        source = textwrap.dedent(inspect.getsource(dctm.metrics.ccc_loss))
+        assert "(dp + gap * m)" in source
+        namespace = dict(vars(dctm.metrics))
+        exec(source.replace("(dp + gap * m)", "dp"), namespace)
+        with pytest.raises(AssertionError):
+            self.assert_gradient_matches(namespace["ccc_loss"], rng, np.float64)
 
     def test_unmasked_default_matches_all_ones_mask(self, rng):
         pred, target, _ = self.draw(rng, np.float64)

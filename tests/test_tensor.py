@@ -4,43 +4,29 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.errors import ShapeError
 from dctm.gradcheck import check_gradients, scalarize
-from dctm.tensor import Tensor, attention, cat, layer_norm, no_grad
+from dctm.tensor import Tensor, attention, cat, layer_norm, linear, no_grad
 
 
 def t64(a, requires_grad=False):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=requires_grad)
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = t64([[1.0, 2.0], [3.0, 4.0]])
-        out = t64(np.eye(2)) @ a
-        np.testing.assert_array_equal(out.data, a.data)
+# Python's operator hooks: numeric (direct, reflected, in-place), unary and indexing
+OPERATOR_HOOKS = {f"__{p}{op}__" for p in ("", "r", "i") for op in (
+    "add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+    "lshift", "rshift", "and", "xor", "or")} | {
+    "__neg__", "__pos__", "__abs__", "__invert__", "__getitem__"}
 
-    def test_dot_product(self):
-        out = t64([[1.0, 2.0]]) @ t64([[3.0], [4.0]])
-        assert out.data.tolist() == [[11.0]]
 
-    def test_matches_triple_loop(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        want = np.zeros((3, 5))
-        for i in range(3):
-            for j in range(5):
-                for k in range(4):
-                    want[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose((t64(a) @ t64(b)).data, want, atol=1e-12)
-
-    def test_batched_broadcast(self, rng):
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5))
-        out = t64(a) @ t64(b)
-        assert out.shape == (2, 3, 5)
-        np.testing.assert_allclose(out.data, a @ b)
-
-    def test_inner_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 5\)"):
-            t64(np.zeros((2, 3))) @ t64(np.zeros((2, 5)))
+def test_public_surface_is_the_production_vocabulary():
+    """Tensor keeps only what a production path or ``gradcheck`` calls, so
+    adding a member means editing this set on purpose."""
+    surface = {n for n in vars(Tensor) if not n.startswith("_") or n in OPERATOR_HOOKS}
+    assert surface == {
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "tanh", "sigmoid", "relu", "sum", "reshape", "transpose",
+        "item", "backward", "shape", "ndim", "dtype",
+    }
 
 
 class TestElementwise:
@@ -64,7 +50,6 @@ class TestElementwise:
         assert (1.0 - x).dtype == np.float32
         # full reductions return numpy scalars, which must not widen
         assert x.sum().dtype == np.float32
-        assert x.mean().dtype == np.float32
 
     def test_sigmoid_extreme_is_finite(self):
         out = t64([-1000.0, 1000.0]).sigmoid()
@@ -160,40 +145,28 @@ class TestBackward:
 class TestGradcheck:
     """Finite-difference checks for each primitive, random shapes."""
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_binary_ops(self, op, rng):
         for _ in range(5):
-            if op == "matmul":
-                m, k, n = rng.integers(1, 5, size=3)
-                a = rng.standard_normal((m, k))
-                b = rng.standard_normal((k, n))
-            else:
-                a = rng.standard_normal((3, 4))
-                b = rng.standard_normal((3, 4))
-                if op == "div":
-                    b = b + np.sign(b) * 1.0  # keep away from 0
+            a = rng.standard_normal((3, 4))
+            b = rng.standard_normal((3, 4))
             build_op = {
                 "add": lambda ts: ts[0] + ts[1],
                 "sub": lambda ts: ts[0] - ts[1],
                 "mul": lambda ts: ts[0] * ts[1],
-                "div": lambda ts: ts[0] / ts[1],
-                "matmul": lambda ts: ts[0] @ ts[1],
             }[op]
             check_gradients(scalarize(build_op, [a, b], rng), [a, b])
 
-    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "pow"])
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu"])
     def test_unary_ops(self, op, rng):
         for _ in range(5):
             x = rng.standard_normal((2, 6)) * 2.0
             if op == "relu":
                 x = x + np.sign(x) * 0.1  # stay off the kink
-            if op == "pow":
-                x = np.abs(x) + 0.5
             build_op = {
                 "tanh": lambda ts: ts[0].tanh(),
                 "sigmoid": lambda ts: ts[0].sigmoid(),
                 "relu": lambda ts: ts[0].relu(),
-                "pow": lambda ts: ts[0] ** 1.7,
             }[op]
             check_gradients(scalarize(build_op, [x], rng), [x])
 
@@ -201,11 +174,6 @@ class TestGradcheck:
         x = rng.standard_normal((3, 4, 5))
         b = rng.standard_normal(5)
         check_gradients(scalarize(lambda ts: ts[0] + ts[1], [x, b], rng), [x, b])
-
-    def test_batched_matmul(self, rng):
-        a = rng.standard_normal((2, 3, 4, 5))
-        b = rng.standard_normal((2, 3, 5, 2))
-        check_gradients(scalarize(lambda ts: ts[0] @ ts[1], [a, b], rng), [a, b])
 
     def test_layer_norm(self, rng):
         x = rng.standard_normal((3, 6))
@@ -228,8 +196,6 @@ class TestGradcheck:
 
     def test_reductions_and_movement(self, rng):
         x = rng.standard_normal((3, 4, 5))
-        check_gradients(scalarize(lambda ts: ts[0].sum(axis=1), [x], rng), [x])
-        check_gradients(scalarize(lambda ts: ts[0].mean(axis=(0, 2)), [x], rng), [x])
         check_gradients(scalarize(lambda ts: ts[0].reshape(12, 5), [x], rng), [x])
         check_gradients(scalarize(lambda ts: ts[0].transpose(2, 0, 1), [x], rng), [x])
 
@@ -242,10 +208,11 @@ class TestGradcheck:
 class TestDeterminism:
     def test_repeated_graph_bitwise_identical(self, rng):
         x = rng.standard_normal((2, 8, 8))
+        w, b = t64(rng.standard_normal((8, 8))), t64(rng.standard_normal(8))
 
         def run():
             t = t64(x, requires_grad=True)
-            loss = (attention(t @ t, t, t, heads=2)[0].tanh() * t).sum()
+            loss = (attention(linear(t, w, b), t, t, heads=2)[0].tanh() * t).sum()
             loss.backward()
             return loss.item(), t.grad.copy()
 

@@ -16,7 +16,7 @@ from dctm.verify import (
 )
 
 EXPECTED_OPS = {
-    "add", "mul", "div", "tanh", "sigmoid", "relu", "matmul", "linear",
+    "add", "mul", "tanh", "sigmoid", "relu", "linear",
     "layer_norm", "residual_norm", "dilated_conv1d", "attention", "gmu", "sigmoid_head",
     "ccc_loss",
 }
