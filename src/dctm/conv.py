@@ -36,33 +36,33 @@ class ConvLayerSpec:
             raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
 
 
-def _patch_indices(T: int, K: int, dilation: int) -> np.ndarray:
-    # index into the padded input; idx[t, p] = p + dilation * t
-    return np.arange(T)[None, :] + dilation * np.arange(K)[:, None]
-
-
 def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Tensor:
     """Apply one dilated conv layer.
 
     x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,); a bias-free
-    kernel takes zeros, which add exactly. Returns (B, C_out, T).
+    kernel takes zeros, which add exactly. Returns (B, C_out, T). Tap k
+    reads the padded slice at dilation*k, so the forward is K accumulated
+    GEMMs and the backward keeps only the padded input.
     """
     B, C_in, T = x.shape
     C_out, C_w, K = weight.shape
     if C_w != C_in:
         raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {weight.shape}")
     pad = dilation * (K - 1) // 2
-    idx = _patch_indices(T, K, dilation)
-
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    patches = xpad[:, :, idx]                       # (B, C_in, K, T)
-    out = np.tensordot(weight.data, patches, axes=([1, 2], [1, 2]))  # (C_out, B, T)
-    out = np.ascontiguousarray(np.moveaxis(out, 0, 1))
-    out = out + bias.data[None, :, None]
+    taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # (K, C_out, C_in)
+    out = taps[0] @ xpad[:, :, :T]
+    for k in range(1, K):
+        out += taps[k] @ xpad[:, :, dilation * k:dilation * k + T]
+    out += bias.data[:, None]
 
     def bw(g):
         gx = _conv_input_grad(g, weight.data, dilation, (B, C_in, T), pad)
-        gw = np.tensordot(g, patches, axes=([0, 2], [0, 3]))  # (C_out, C_in, K)
+        g2 = g.transpose(1, 0, 2).reshape(C_out, B * T)
+        gw = np.empty_like(weight.data)
+        for k in range(K):
+            xs = xpad[:, :, dilation * k:dilation * k + T]
+            gw[:, :, k] = g2 @ xs.transpose(1, 0, 2).reshape(C_in, B * T).T
         return gx, gw, g.sum(axis=(0, 2))
 
     return Tensor._op(out, (x, weight, bias), bw)
@@ -70,20 +70,13 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Te
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, dilation: int,
                      x_shape: tuple, pad: int) -> np.ndarray:
-    """Scatter the output gradient back through the gather.
-
-    Each kernel tap k targets the contiguous padded slice starting at
-    dilation*k, so the scatter is K slice-accumulations.
-    """
+    """Scatter the output gradient back through the taps: K GEMM
+    accumulations into the padded slices the forward read."""
     B, C_in, T = x_shape
-    K = w.shape[2]
-    # tmp[b, c, k, t] = sum_o g[b, o, t] * w[o, c, k]
-    tmp = np.tensordot(g, w, axes=([1], [0]))       # (B, T, C_in, K)
-    tmp = np.moveaxis(tmp, 1, 3)                    # (B, C_in, K, T)
+    taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C_in, C_out)
     gpad = np.zeros((B, C_in, T + 2 * pad), dtype=g.dtype)
-    for k in range(K):
-        lo = dilation * k
-        gpad[:, :, lo:lo + T] += tmp[:, :, k, :]
+    for k in range(w.shape[2]):
+        gpad[:, :, dilation * k:dilation * k + T] += taps_t[k] @ g
     return gpad[:, :, pad:pad + T] if pad else gpad
 
 

@@ -70,11 +70,7 @@ class Session:
     @property
     def frame_mask(self) -> np.ndarray:
         """Frames valid in every modality."""
-        masks = [s.valid_mask for s in self.streams.values()]
-        out = masks[0].copy()
-        for m in masks[1:]:
-            out &= m
-        return out
+        return np.logical_and.reduce([s.valid_mask for s in self.streams.values()])
 
 
 @dataclass
@@ -274,11 +270,15 @@ class NormStats:
             for row in reader:
                 try:
                     name, m, s = row
-                    mean.append(float(m))
-                    std.append(float(s))
+                    m, s = float(m), float(s)
+                    if not (np.isfinite(m) and 0.0 <= s < np.inf):
+                        raise ValueError
                 except ValueError:
                     raise DataError(f"{path}:{reader.line_num}: expected name,mean,std "
-                                    f"with two numbers, got {row!r}") from None
+                                    f"with a finite mean and a finite std >= 0, "
+                                    f"got {row!r}") from None
+                mean.append(m)
+                std.append(s)
                 names.append(name)
         return cls(names, np.asarray(mean), np.asarray(std))
 
@@ -290,12 +290,8 @@ def compute_norm_stats(sessions: list[Session], modalities=MODALITIES) -> NormSt
         blocks = [s.streams[m].features[s.streams[m].valid_mask] for s in sessions]
         stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 0))
         feature_names = sessions[0].streams[m].feature_names
-        if stacked.shape[0] == 0:
-            mu = np.zeros(len(feature_names))
-            sd = np.zeros(len(feature_names))
-        else:
-            mu = stacked.mean(axis=0)
-            sd = stacked.std(axis=0)
+        empty = np.zeros(len(feature_names))
+        mu, sd = (stacked.mean(axis=0), stacked.std(axis=0)) if len(stacked) else (empty, empty)
         names.extend(f"{m}.{n}" for n in feature_names)
         means.append(mu)
         stds.append(sd)

@@ -220,20 +220,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != D:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
     x2 = x.data.reshape(-1, D)
-    out = (x2 @ weight.data + bias.data).reshape(*x.shape[:-1], O)
+    out = x2 @ weight.data
+    out += bias.data
 
     def bw(g):
         g2 = g.reshape(-1, O)
         return (g2 @ weight.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return Tensor._op(out, (x, weight, bias), bw)
+    return Tensor._op(out.reshape(*x.shape[:-1], O), (x, weight, bias), bw)
 
 
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    centered = x - x.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
-    xhat = centered * inv
-    return xhat * gain + bias, xhat, inv
+def _layer_norm_forward(c: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """(out, xhat, inv) of centred rows ``c``, a buffer the calling op owns:
+    ``c`` is scaled in place into ``xhat``."""
+    inv = (np.vecdot(c, c)[..., None] / c.shape[-1] + 1e-5) ** -0.5
+    c *= inv
+    out = c * gain
+    out += bias
+    return out, c, inv
 
 
 def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
@@ -251,7 +255,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
     normalized input ``xhat`` and inverse deviation ``inv``.
     """
-    out, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    out, xhat, inv = _layer_norm_forward(c, gain.data, bias.data)
     return Tensor._op(out, (x, gain, bias),
                       lambda g: _layer_norm_backward(g, xhat, inv, gain.data))
 
@@ -266,6 +271,7 @@ def residual_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, gain: Tensor,
     gradient times ``keep``.
     """
     s = x.data + (y.data if keep is None else y.data * keep)
+    s -= s.mean(axis=-1, keepdims=True)
     out, xhat, inv = _layer_norm_forward(s, gain.data, bias.data)
 
     def bw(g):
@@ -281,9 +287,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     ``q`` is (B, Tq, D) and ``k``, ``v`` are (B, Tk, D), already projected;
     each is split into ``heads`` subspaces of D / heads. Returns the merged
     context (B, Tq, D) and the softmax weights (B, heads, Tq, Tk). The
-    1/sqrt(d) scale is applied to ``q`` rather than to the scores, and the
-    max-shifted softmax runs in place on the score buffer. The backward is
-    the softmax Jacobian-vector product ``p * (gp - sum(gp * p))``.
+    1/sqrt(d) scale is applied to ``q``. The scores are built transposed,
+    (B, heads, Tk, Tq), so the in-place softmax reduces over axis -2, which
+    NumPy vectorises along the contiguous query axis; the weights are its
+    transposed view. The backward is the softmax Jacobian-vector product
+    ``p * (gp - sum(gp * p))`` in the same layout.
     """
     B, Tq, D = q.shape
     Tk = k.shape[1]
@@ -301,20 +309,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     scale = 1.0 / math.sqrt(d)
     qh = split(q.data * scale, Tq)
     kh, vh = split(k.data, Tk), split(v.data, Tk)
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    st = kh @ qh.transpose(0, 1, 3, 2)
+    st -= st.max(axis=-2, keepdims=True)
+    np.exp(st, out=st)
+    st /= st.sum(axis=-2, keepdims=True)
+    p = st.transpose(0, 1, 3, 2)
     out = merge(p @ vh, Tq)
 
     def bw(g):
         gh = split(g, Tq)
-        gv = p.transpose(0, 1, 3, 2) @ gh
-        gs = gh @ vh.transpose(0, 1, 3, 2)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gq = (gs @ kh) * scale
-        return merge(gq, Tq), merge(gs.transpose(0, 1, 3, 2) @ qh, Tk), merge(gv, Tk)
+        gv = st @ gh
+        gst = vh @ gh.transpose(0, 1, 3, 2)
+        gst -= np.einsum("bhkq,bhkq->bhq", gst, st)[..., None, :]
+        gst *= st
+        gq = gst.transpose(0, 1, 3, 2) @ kh
+        gq *= scale
+        return merge(gq, Tq), merge(gst @ qh, Tk), merge(gv, Tk)
 
     return Tensor._op(out, (q, k, v), bw), p
 

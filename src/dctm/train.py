@@ -14,6 +14,7 @@ it with run-directory persistence:
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -42,8 +43,9 @@ from .optim import Adam
 from .tensor import no_grad
 
 
+@functools.cache
 def build_id() -> str:
-    """Package version plus the git revision when building from a checkout."""
+    """Package version plus the git revision of a checkout; git runs once per process."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -279,7 +281,8 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
                         np.concatenate([t.reshape(-1) for t in epoch_true]),
                         mask=flat_mask).ccc
         train_curve.append(train_ccc)
-
+        progress = (f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
+                    f"train_ccc {train_ccc:+.4f}")
         if val_norm:
             overall, per_session, _ = score_sessions(model, val_norm, cfg)
             val_curve.append(overall.ccc)
@@ -287,13 +290,11 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
                 best_val, best_epoch = overall.ccc, epoch
                 best_state = _state_of(model)
                 best_val_score = (overall, per_session)
-            say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
-                f"train_ccc {train_ccc:+.4f}  val_ccc {overall.ccc:+.4f}")
+            say(f"{progress}  val_ccc {overall.ccc:+.4f}")
         else:
             best_epoch = epoch
             best_state = _state_of(model)
-            say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
-                f"train_ccc {train_ccc:+.4f}")
+            say(progress)
 
     return FitResult(
         model=model, stats=stats, feature_dims=feature_dims,
@@ -321,10 +322,8 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
         for key in sorted(flat):
             fh.write(f"{key} = {flat[key]}\n")
     result.stats.save(out / "norm_stats.csv")
-    save_checkpoint(out / "checkpoint.best.dctm",
-                    [(n, a) for n, a in result.best_state.items()])
-    save_checkpoint(out / "checkpoint.last.dctm",
-                    [(n, a) for n, a in result.last_state.items()])
+    save_checkpoint(out / "checkpoint.best.dctm", list(result.best_state.items()))
+    save_checkpoint(out / "checkpoint.last.dctm", list(result.last_state.items()))
     with open(out / "meta.json", "w") as fh:
         json.dump({
             "feature_dims": result.feature_dims,
@@ -365,8 +364,13 @@ def load_run(run_dir, overrides: dict[str, str] | None = None):
         raise DataError(f"run directory not found: {run}")
     cfg = resolve_config(run / "config.txt", overrides)
     meta = read_json(run / "meta.json", ("feature_dims",))
+    dims = meta["feature_dims"]
+    if not (isinstance(dims, dict) and all(type(dims.get(m)) is int and dims[m] > 0
+                                           for m in cfg.data.modalities)):
+        raise DataError(f"{run / 'meta.json'}: 'feature_dims' must map each of "
+                        f"{', '.join(cfg.data.modalities)} to a positive int, got {dims!r}")
     stats = NormStats.load(run / "norm_stats.csv")
-    model = DctmModel(cfg, meta["feature_dims"], np.random.default_rng(cfg.seed))
+    model = DctmModel(cfg, dims, np.random.default_rng(cfg.seed))
     return cfg, model, stats, meta
 
 

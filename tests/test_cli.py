@@ -45,6 +45,13 @@ MALFORMED = {
     "non_float_stats_cell": ("run/norm_stats.csv",
                              lambda t: replace_line(t, 1, "head.f0,banana,1.0"),
                              "norm_stats.csv:2: expected name,mean,std"),
+    "nan_stats_mean": ("run/norm_stats.csv", lambda t: replace_line(t, 1, "head.f0,nan,1.0"),
+                       "norm_stats.csv:2: expected name,mean,std with a finite mean"),
+    "meta_non_int_dims": ("run/meta.json",
+                          lambda t: json.dumps({**json.loads(t),
+                                                "feature_dims": {"head": "x", "pose": 3,
+                                                                 "voice": 2}}),
+                          "meta.json: 'feature_dims' must map each of"),
     "meta_not_json": ("run/meta.json", lambda t: t[:len(t) // 2], "meta.json: invalid JSON"),
     "meta_not_an_object": ("run/meta.json", lambda t: "3",
                            "meta.json: expected a JSON object"),

@@ -255,6 +255,13 @@ class TestNormalize:
         np.testing.assert_array_equal(loaded.mean, stats.mean)
         np.testing.assert_array_equal(loaded.std, stats.std)
 
+    @pytest.mark.parametrize("cells", ["nan,1.0", "0.5,inf", "0.5,-1.0", "-inf,1.0"])
+    def test_stats_csv_rejects_non_finite_or_negative_std(self, tmp_path, cells):
+        path = tmp_path / "ns.csv"
+        path.write_text(f"name,mean,std\nhead.f0,0.0,0.0\nhead.f1,{cells}\n")
+        with pytest.raises(DataError, match=r"ns\.csv:3: .*finite"):
+            NormStats.load(path)
+
 
 class TestWindows:
     def test_worked_example_starts(self):

@@ -1,13 +1,14 @@
-"""The fused ops ``linear``, ``layer_norm``, ``residual_norm``, ``attention``
-and ``ccc_loss`` against numpy, loop, composed-op and complex-step
-references, in float64 and float32.
+"""The fused ops ``linear``, ``layer_norm``, ``residual_norm``, ``attention``,
+``dilated_conv1d`` and ``ccc_loss`` against numpy, loop, composed-op and
+complex-step references, in float64 and float32.
 
 Each op is one tape node with a hand-written backward, so these tests pin
 its forward to an independent formula, its backward to a reference
 gradient, and its dtype: a float32 input gives a float32 output and
-float32 gradients. The ``layer_norm`` and ``ccc_loss`` references
-differentiate plain NumPy forwards by complex step, which is exact to
-rounding.
+float32 gradients. The ``layer_norm``, ``dilated_conv1d`` and ``ccc_loss``
+references differentiate plain NumPy forwards by complex step, which is
+exact to rounding. The kernels write into buffers they allocate; no
+forward or backward may write into an input's ``.data``.
 """
 
 import inspect
@@ -18,6 +19,7 @@ import pytest
 
 import dctm.metrics
 import dctm.tensor
+from dctm.conv import dilated_conv1d
 from dctm.errors import ShapeError
 from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
@@ -234,6 +236,90 @@ def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     out = norm(x, y, None)
     assert out._parents == (x, y, norm.gain, norm.bias)
     assert np.array_equal(out.data, norm(x + y).data)
+
+
+def numpy_conv1d(x, w, bias, dilation):
+    """Dilated conv as a direct sum over output frames and taps, in plain NumPy."""
+    B, _, T = x.shape
+    C_out, _, K = w.shape
+    pad = dilation * (K - 1) // 2
+    xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    out = np.zeros((B, C_out, T), dtype=np.result_type(x, w)) + bias[:, None]
+    for p in range(T):
+        for k in range(K):
+            out[:, :, p] += xpad[:, :, p + dilation * k] @ w[:, :, k].T
+    return out
+
+
+# (B, C_in, C_out, T, K, dilation); "short" cases have T below the padding of 8
+CONV_CASES = {"dilated": (2, 3, 4, 9, 3, 2), "undilated": (2, 3, 2, 6, 5, 1),
+              "short_1": (2, 2, 3, 1, 5, 4), "short_7": (1, 3, 2, 7, 5, 4)}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(CONV_CASES))
+def test_dilated_conv1d_matches_direct_sum_and_complex_step(rng, case, dtype):
+    B, C_in, C_out, T, K, dilation = CONV_CASES[case]
+    x = rng.standard_normal((B, C_in, T)).astype(dtype)
+    w = rng.standard_normal((C_out, C_in, K)).astype(dtype)
+    b = rng.standard_normal(C_out).astype(dtype)
+    probe = rng.standard_normal((B, C_out, T))
+    out, grads = grads_of(lambda ts: dilated_conv1d(*ts, dilation), [x, w, b], probe)
+    assert_dtype(out, grads, dtype)
+
+    arrays64 = [a.astype(np.float64) for a in (x, w, b)]
+    assert_close(out.data, numpy_conv1d(*arrays64, dilation), dtype)
+    want = complex_step_grads(lambda z: (numpy_conv1d(*z, dilation) * probe).sum(), arrays64)
+    for got, ref in zip(grads, want):
+        assert_close(got, ref, dtype)
+
+
+def attention_op(self_attention):
+    """``attention`` over inputs (q, k, v), or one input as all three."""
+    if self_attention:
+        return lambda ts: attention(ts[0], ts[0], ts[0], heads=2)
+    return lambda ts: attention(ts[0], ts[1], ts[2], heads=2)
+
+
+def residual_norm_op(dropout):
+    """``residual_norm`` without dropout, or with the ``KEEP`` mask of the inputs' dtype."""
+    return lambda ts: residual_norm(ts[0], ts[1], KEEP[ts[0].dtype.type] if dropout else None,
+                                    ts[2], ts[3])
+
+
+KEEP = {dtype: dropout_mask(Tensor(np.zeros((2, 3, 4), dtype)), 0.5,
+                            np.random.default_rng(3), True) for dtype in DTYPES}
+
+# op over a list of tensors (returning its output, or (output, weights)) and input shapes
+NO_MUTATION = {
+    "linear": (lambda ts: linear(*ts), [(2, 3, 4), (4, 5), (5,)]),
+    "layer_norm": (lambda ts: layer_norm(*ts), [(2, 3, 4), (4,), (4,)]),
+    "residual_norm": (residual_norm_op(False), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
+    "residual_norm_dropout": (residual_norm_op(True), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
+    "self_attention": (attention_op(True), [(2, 5, 4)]),
+    "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    "dilated_conv1d": (lambda ts: dilated_conv1d(*ts, 2), [(2, 3, 6), (4, 3, 3), (4,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", list(NO_MUTATION))
+def test_forward_and_backward_leave_inputs_unwritten(rng, name, dtype):
+    op, shapes = NO_MUTATION[name]
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    before = [a.tobytes() for a in arrays]
+    keep_before = KEEP[dtype].tobytes()
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    result = op(ts)
+    out, weights = result if isinstance(result, tuple) else (result, None)
+    assert out.dtype == dtype
+    (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
+    assert [t.data.tobytes() for t in ts] == before
+    assert KEEP[dtype].tobytes() == keep_before
+    if weights is not None:
+        B, Tq, Tk = out.shape[0], out.shape[1], ts[-1].shape[1]
+        assert weights.shape == (B, 2, Tq, Tk)
+        assert_close(weights.sum(axis=-1), np.ones((B, 2, Tq)), dtype)
 
 
 def numpy_ccc_loss(pred, target, mask):

@@ -239,3 +239,17 @@ class TestPredictMatchesEvaluate:
             assert scores.shape == (session.num_frames,)
             mask = session.frame_mask
             assert ccc(scores[mask], session.labels[mask]).ccc == expected[session.key]
+
+
+def test_build_id_asks_git_once_per_process(monkeypatch):
+    calls = []
+    real = dctm.train.subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    first = dctm.train.build_id()
+    monkeypatch.setattr(dctm.train.subprocess, "run", counting)
+    assert dctm.train.build_id() == first
+    assert calls == []
