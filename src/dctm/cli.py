@@ -57,12 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="score a checkpoint on a split")
     evaluate.add_argument("--run", required=True, help="run directory from train")
+    evaluate.add_argument("--split", default="val")
+    evaluate.add_argument("--which", default="best", choices=("best", "last"))
+
     predict = sub.add_parser("predict", help="write per-frame score CSVs")
     predict.add_argument("--run", required=True)
     predict.add_argument("--out", required=True, help="directory for score files")
-    for command in (evaluate, predict):
-        command.add_argument("--split", default="val")
-        command.add_argument("--which", default="best", choices=("best", "last"))
+    predict.add_argument("--split", default="val")
+    predict.add_argument("--which", default="best", choices=("best", "last"))
 
     ablate = sub.add_parser("ablate", help="train the conv x fusion x subject grid")
     ablate.add_argument("--config", default=None)

@@ -70,7 +70,11 @@ class Session:
     @property
     def frame_mask(self) -> np.ndarray:
         """Frames valid in every modality."""
-        return np.logical_and.reduce([s.valid_mask for s in self.streams.values()])
+        masks = [s.valid_mask for s in self.streams.values()]
+        out = masks[0].copy()
+        for m in masks[1:]:
+            out &= m
+        return out
 
 
 @dataclass
@@ -290,8 +294,12 @@ def compute_norm_stats(sessions: list[Session], modalities=MODALITIES) -> NormSt
         blocks = [s.streams[m].features[s.streams[m].valid_mask] for s in sessions]
         stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 0))
         feature_names = sessions[0].streams[m].feature_names
-        empty = np.zeros(len(feature_names))
-        mu, sd = (stacked.mean(axis=0), stacked.std(axis=0)) if len(stacked) else (empty, empty)
+        if stacked.shape[0] == 0:
+            mu = np.zeros(len(feature_names))
+            sd = np.zeros(len(feature_names))
+        else:
+            mu = stacked.mean(axis=0)
+            sd = stacked.std(axis=0)
         names.extend(f"{m}.{n}" for n in feature_names)
         means.append(mu)
         stds.append(sd)

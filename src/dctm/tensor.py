@@ -233,7 +233,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def _layer_norm_forward(c: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """(out, xhat, inv) of centred rows ``c``, a buffer the calling op owns:
     ``c`` is scaled in place into ``xhat``."""
-    inv = (np.vecdot(c, c)[..., None] / c.shape[-1] + 1e-5) ** -0.5
+    inv = (np.einsum("...i,...i->...", c, c)[..., None] / c.shape[-1] + 1e-5) ** -0.5
     c *= inv
     out = c * gain
     out += bias

@@ -281,8 +281,7 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
                         np.concatenate([t.reshape(-1) for t in epoch_true]),
                         mask=flat_mask).ccc
         train_curve.append(train_ccc)
-        progress = (f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
-                    f"train_ccc {train_ccc:+.4f}")
+
         if val_norm:
             overall, per_session, _ = score_sessions(model, val_norm, cfg)
             val_curve.append(overall.ccc)
@@ -290,11 +289,13 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
                 best_val, best_epoch = overall.ccc, epoch
                 best_state = _state_of(model)
                 best_val_score = (overall, per_session)
-            say(f"{progress}  val_ccc {overall.ccc:+.4f}")
+            say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
+                f"train_ccc {train_ccc:+.4f}  val_ccc {overall.ccc:+.4f}")
         else:
             best_epoch = epoch
             best_state = _state_of(model)
-            say(progress)
+            say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
+                f"train_ccc {train_ccc:+.4f}")
 
     return FitResult(
         model=model, stats=stats, feature_dims=feature_dims,
@@ -322,8 +323,10 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
         for key in sorted(flat):
             fh.write(f"{key} = {flat[key]}\n")
     result.stats.save(out / "norm_stats.csv")
-    save_checkpoint(out / "checkpoint.best.dctm", list(result.best_state.items()))
-    save_checkpoint(out / "checkpoint.last.dctm", list(result.last_state.items()))
+    save_checkpoint(out / "checkpoint.best.dctm",
+                    [(n, a) for n, a in result.best_state.items()])
+    save_checkpoint(out / "checkpoint.last.dctm",
+                    [(n, a) for n, a in result.last_state.items()])
     with open(out / "meta.json", "w") as fh:
         json.dump({
             "feature_dims": result.feature_dims,

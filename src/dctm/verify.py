@@ -320,9 +320,12 @@ def check_attention_rows(seed: int = 0) -> CheckResult:
 
 
 def run_all(n_grad_cases: int = 20, seed: int = 0) -> list[CheckResult]:
-    return [*check_gradient_suite(n_cases=n_grad_cases, seed=seed),
-            check_conv_oracle(seed=seed), check_ccc_oracle(seed=seed),
-            check_receptive_field(seed=seed), check_attention_rows(seed=seed)]
+    results = list(check_gradient_suite(n_cases=n_grad_cases, seed=seed))
+    results.append(check_conv_oracle(seed=seed))
+    results.append(check_ccc_oracle(seed=seed))
+    results.append(check_receptive_field(seed=seed))
+    results.append(check_attention_rows(seed=seed))
+    return results
 
 
 def format_results(results: list[CheckResult]) -> str:
