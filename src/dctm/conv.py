@@ -49,7 +49,8 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Te
     if C_w != C_in:
         raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {weight.shape}")
     pad = dilation * (K - 1) // 2
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+    xpad = np.zeros((B, C_in, T + 2 * pad), dtype=x.dtype)
+    xpad[:, :, pad:pad + T] = x.data
     taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # (K, C_out, C_in)
     out = taps[0] @ xpad[:, :, :T]
     for k in range(1, K):
@@ -63,7 +64,7 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Te
         for k in range(K):
             xs = xpad[:, :, dilation * k:dilation * k + T]
             gw[:, :, k] = g2 @ xs.transpose(1, 0, 2).reshape(C_in, B * T).T
-        return gx, gw, g.sum(axis=(0, 2))
+        return gx, gw, g2 @ np.ones(B * T, g.dtype)
 
     return Tensor._op(out, (x, weight, bias), bw)
 

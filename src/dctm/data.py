@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MODALITIES = ("head", "pose", "voice")
 ROLES = ("expert", "novice")
@@ -425,6 +425,14 @@ class SyntheticSpec:
     snr: tuple[float, float, float] = (1.0, 1.0, 1.0)
     roles: tuple[str, ...] = ROLES
 
+    def __post_init__(self):
+        if self.sessions < 1 or self.frames < 1 or min(self.dims) < 1:
+            raise ConfigError(
+                f"synthetic sessions, frames and dims must be positive, got "
+                f"sessions={self.sessions}, frames={self.frames}, dims={self.dims}")
+        if not all(snr >= 0.0 for snr in self.snr):
+            raise ConfigError(f"synthetic snr must be >= 0, got {self.snr}")
+
 
 def _latent_engagement(rng: np.random.Generator, n: int) -> np.ndarray:
     """Bounded random walk, smoothed by a 25-frame moving average,
@@ -527,12 +535,17 @@ def load_splits(root) -> dict:
 
 
 def generate_dataset(root, spec: SyntheticSpec, val_fraction: float = 0.2) -> dict:
-    """Generate, write, and split a synthetic dataset; returns the splits."""
+    """Generate, write, and split a synthetic dataset; returns the splits.
+
+    At least one session goes to validation and at least one to training,
+    when there are two or more."""
+    if not 0.0 <= val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     sessions = generate_synthetic(spec)
     for s in sessions:
         write_session(root, s)
     ids = sorted({s.session_id for s in sessions})
-    n_val = max(1, int(round(val_fraction * len(ids)))) if len(ids) > 1 else 0
+    n_val = min(max(1, int(round(val_fraction * len(ids)))), len(ids) - 1)
     train_ids, val_ids = ids[:len(ids) - n_val], ids[len(ids) - n_val:]
     write_splits(root, train_ids, val_ids)
     return {"train": train_ids, "val": val_ids}

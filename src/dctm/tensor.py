@@ -7,6 +7,14 @@ computes its loss, gradients and optimizer state in float32. Every op
 records its parents and a backward closure on the output tensor;
 ``backward()`` on a scalar walks the graph once in reverse topological
 order and accumulates gradients into ``.grad``.
+
+The fused kernels reduce short axes two ways. A per-frame reduction (a
+row mean, the softmax denominator, a one-column ``linear``) is an
+``einsum``, which gives each row the same value wherever it sits in the
+batch and however long the padded axis is. A sum over all frames into a
+parameter gradient is a product with a ones vector, which BLAS computes
+faster; its rounding is fixed for a given BLAS thread count but depends
+on row position, which a gradient total may and a frame's score may not.
 """
 
 from __future__ import annotations
@@ -214,18 +222,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     ``x`` is flattened to (N, D), so the forward and both backward
     products are single 2-D GEMMs; the weight gradient needs no
-    broadcast sum over leading axes.
+    broadcast sum over leading axes, and the bias gradient is a ones-vector
+    product.
     """
     D, O = weight.shape
     if x.shape[-1] != D:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
     x2 = x.data.reshape(-1, D)
-    out = x2 @ weight.data
+    # A single output column is a per-frame dot product: BLAS would run it
+    # as a GEMV, whose rounding depends on the row's position in x2.
+    out = np.einsum("nd,do->no", x2, weight.data) if O == 1 else x2 @ weight.data
     out += bias.data
 
     def bw(g):
         g2 = g.reshape(-1, O)
-        return (g2 @ weight.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+        return ((g2 @ weight.data.T).reshape(x.shape), x2.T @ g2,
+                np.ones(len(g2), g2.dtype) @ g2)
 
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, weight, bias), bw)
 
@@ -240,12 +252,20 @@ def _layer_norm_forward(c: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return out, c, inv
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, keeping it as length 1. An ``einsum``
+    reduction, not BLAS, so a row's mean does not depend on the other rows."""
+    return np.einsum("...i->...", a)[..., None] / a.shape[-1]
+
+
 def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
     gxh = g * gain
-    gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
-                - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
-    g2 = g.reshape(-1, g.shape[-1])
-    return gx, (g * xhat).reshape(g2.shape).sum(axis=0), g2.sum(axis=0)
+    D = g.shape[-1]
+    gx = inv * (gxh - _row_mean(gxh)
+                - xhat * (np.einsum("...i,...i->...", gxh, xhat)[..., None] / D))
+    g2 = g.reshape(-1, D)
+    ones = np.ones(len(g2), g.dtype)
+    return gx, ones @ (g * xhat).reshape(g2.shape), ones @ g2
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -255,7 +275,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
     normalized input ``xhat`` and inverse deviation ``inv``.
     """
-    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    c = x.data - _row_mean(x.data)
     out, xhat, inv = _layer_norm_forward(c, gain.data, bias.data)
     return Tensor._op(out, (x, gain, bias),
                       lambda g: _layer_norm_backward(g, xhat, inv, gain.data))
@@ -271,7 +291,7 @@ def residual_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, gain: Tensor,
     gradient times ``keep``.
     """
     s = x.data + (y.data if keep is None else y.data * keep)
-    s -= s.mean(axis=-1, keepdims=True)
+    s -= _row_mean(s)
     out, xhat, inv = _layer_norm_forward(s, gain.data, bias.data)
 
     def bw(g):
@@ -288,9 +308,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     each is split into ``heads`` subspaces of D / heads. Returns the merged
     context (B, Tq, D) and the softmax weights (B, heads, Tq, Tk). The
     1/sqrt(d) scale is applied to ``q``. The scores are built transposed,
-    (B, heads, Tk, Tq), so the in-place softmax reduces over axis -2, which
-    NumPy vectorises along the contiguous query axis; the weights are its
-    transposed view. The backward is the softmax Jacobian-vector product
+    (B, heads, Tk, Tq), so the in-place softmax reduces over axis -2: the
+    max with NumPy, vectorised along the contiguous query axis, and the
+    denominator with an ``einsum``; the weights are its transposed view.
+    The backward is the softmax Jacobian-vector product
     ``p * (gp - sum(gp * p))`` in the same layout.
     """
     B, Tq, D = q.shape
@@ -312,7 +333,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     st = kh @ qh.transpose(0, 1, 3, 2)
     st -= st.max(axis=-2, keepdims=True)
     np.exp(st, out=st)
-    st /= st.sum(axis=-2, keepdims=True)
+    st /= np.einsum("bhkq->bhq", st)[..., None, :]
     p = st.transpose(0, 1, 3, 2)
     out = merge(p @ vh, Tq)
 

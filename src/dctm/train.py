@@ -267,7 +267,8 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
             if not np.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss {value} at epoch {epoch}, step {step}")
-            model.zero_grad()
+            for _, param in params:
+                param.grad = None
             loss.backward()
             optimizer.step()
             losses.append(value)

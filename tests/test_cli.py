@@ -185,6 +185,15 @@ class TestConfigErrors:
         assert main(["gen-synth", "--out", str(tmp_path / "d"),
                      "--dims", "3,3"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("arg", ["--sessions=0", "--frames=0", "--dims=3,0,2",
+                                     "--snr=-1,1,1", "--snr=nan,1,1",
+                                     "--val-fraction=1.5", "--val-fraction=-0.5"])
+    def test_gen_synth_rejects_out_of_range(self, tmp_path, capsys, arg):
+        out = tmp_path / "d"
+        assert main(["gen-synth", "--out", str(out), arg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r"),
                      "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG

@@ -393,6 +393,11 @@ class TestDatasetRoundTrip:
         assert len(splits["train"]) == 4 and len(splits["val"]) == 1
         assert set(splits["train"]) | set(splits["val"]) == {f"s{i:03d}" for i in range(5)}
 
+    def test_generate_dataset_keeps_a_training_session(self, tmp_path):
+        splits = generate_dataset(tmp_path, SyntheticSpec(seed=17, sessions=4, frames=30),
+                                  val_fraction=0.95)
+        assert len(splits["train"]) == 1 and len(splits["val"]) == 3
+
     def test_load_split_sessions_subject_filter(self, tmp_path):
         spec = SyntheticSpec(seed=17, sessions=3, frames=30)
         generate_dataset(tmp_path, spec)

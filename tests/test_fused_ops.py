@@ -19,12 +19,15 @@ import pytest
 
 import dctm.metrics
 import dctm.tensor
+from dctm.config import ConvConfig, DctmConfig, FusionConfig
 from dctm.conv import dilated_conv1d
 from dctm.errors import ShapeError
 from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
+from dctm.model import DctmModel
 from dctm.reference import attention_single_head_loop
 from dctm.tensor import Tensor, attention, layer_norm, linear, residual_norm
+from dctm.transformer import TransformerSettings
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -320,6 +323,85 @@ def test_forward_and_backward_leave_inputs_unwritten(rng, name, dtype):
         B, Tq, Tk = out.shape[0], out.shape[1], ts[-1].shape[1]
         assert weights.shape == (B, 2, Tq, Tk)
         assert_close(weights.sum(axis=-1), np.ones((B, 2, Tq)), dtype)
+
+
+# B, T and D of the gradient-sum case: 512 frames, as in an ablate_tiny batch
+SUM_SHAPE = (8, 64, 16)
+
+
+def column_sum_case(rng, name, dtype):
+    """(op, input arrays, probe ``g``, sums) for op ``name``. ``sums`` maps
+    the index of each input whose gradient under ``g`` is a sum over all
+    frames to the (frames, P) float64 terms of that sum."""
+    B, T, D = SUM_SHAPE
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+    if name == "dilated_conv1d":
+        g = draw(B, D, T).astype(np.float64)
+        op, arrays = lambda ts: dilated_conv1d(*ts, 4), [draw(B, 8, T), draw(D, 8, 5), draw(D)]
+        return op, arrays, g, {2: g.transpose(0, 2, 1).reshape(-1, D)}
+    g = draw(B, T, D).astype(np.float64)
+    if name == "linear":
+        op, arrays = lambda ts: linear(*ts), [draw(B, T, 6), draw(6, D), draw(D)]
+        return op, arrays, g, {2: g.reshape(-1, D)}
+    unit = np.ones(D), np.zeros(D)
+    if name == "layer_norm":
+        op, arrays = lambda ts: layer_norm(*ts), [draw(B, T, D), draw(D), draw(D)]
+        xhat = numpy_layer_norm(arrays[0].astype(np.float64), *unit)
+    else:
+        op = residual_norm_op(False)
+        arrays = [draw(B, T, D), draw(B, T, D), draw(D), draw(D)]
+        xhat = numpy_layer_norm(arrays[0].astype(np.float64) + arrays[1], *unit)
+    n = len(arrays)
+    return op, arrays, g, {n - 2: (g * xhat).reshape(-1, D), n - 1: g.reshape(-1, D)}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", ["linear", "dilated_conv1d", "layer_norm", "residual_norm"])
+def test_parameter_gradient_sums_match_numpy_column_sums(rng, name, dtype):
+    """Bias and gain gradients, summed over all frames by a ones-vector
+    product, equal plain NumPy column sums to the dtype's tolerance relative
+    to the sum of the terms' magnitudes, and keep the input dtype."""
+    op, arrays, g, sums = column_sum_case(rng, name, dtype)
+    _, grads = grads_of(op, arrays, g)
+    for i, terms in sums.items():
+        assert grads[i].dtype == dtype
+        err = np.abs(grads[i] - terms.sum(axis=0))
+        assert np.all(err <= TOL[dtype] * np.abs(terms).sum(axis=0)), (i, err.max())
+
+
+# window lengths that are not multiples of a BLAS row block, so the
+# windows' rows sit at every offset of one
+@pytest.mark.parametrize("W", [13, 29])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("fusion", ["sa", "gmu"])
+@pytest.mark.parametrize("conv", ["dilated", "none"])
+def test_window_scores_do_not_depend_on_batch_row(precision, fusion, conv, W):
+    """A window's scores are bit-identical alone and at the first, a middle or
+    the last row of batches of 2, 5 and 33 windows: no per-frame reduction
+    goes through BLAS, whose rounding depends on the row's position."""
+    cfg = DctmConfig(conv=ConvConfig(kind=conv, channels=8), fusion=FusionConfig(kind=fusion),
+                     transformer=TransformerSettings(hidden=16, heads=2, encoder_layers=1,
+                                                     decoder_layers=1, ff_dim=32),
+                     precision=precision)
+    dims = {"head": 4, "pose": 5, "voice": 3}
+    model = DctmModel(cfg, dims, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for p in model.parameters():   # the zero-initialised output projections too
+        p.data = (p.data + 0.1 * rng.standard_normal(p.shape)).astype(cfg.dtype)
+    pool = {m: rng.standard_normal((33, d, W)) for m, d in dims.items()}
+
+    def scores(rows):
+        return model({m: a[rows] for m, a in pool.items()}, None).data
+
+    probe = 0
+    alone = scores([probe])[0]
+    for n in (2, 5, 33):
+        for row in (0, n // 2, n - 1):
+            rows = list(range(1, n))
+            rows.insert(row, probe)
+            assert np.array_equal(scores(rows)[row], alone), (n, row)
 
 
 def numpy_ccc_loss(pred, target, mask):
