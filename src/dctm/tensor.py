@@ -197,7 +197,9 @@ class Tensor:
 
 
 def _toposort(root: Tensor) -> list:
-    """Iterative DFS post-order; inputs of an op always precede it."""
+    """Iterative DFS post-order over the op nodes (tensors with a backward)
+    below ``root``; inputs of an op always precede it. Leaves are not
+    visited: ``backward()`` accumulates their gradients from their ops."""
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -209,7 +211,7 @@ def _toposort(root: Tensor) -> list:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p._backward is not None and id(p) not in visited:
                 stack.append((p, False))
     return order
 

@@ -14,10 +14,15 @@ it with run-directory persistence:
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import ctypes
 import functools
 import json
+import os
 import subprocess
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,20 +167,131 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # inference over sessions
 
+# Windows per scoring job. Each worker thread allocates from its own malloc
+# arena, so larger jobs raise peak memory (32 windows: +40 MiB at the
+# default architecture) and score no faster.
+JOB_WINDOWS = 8
+# Activation cells per job (JOB_WINDOWS x window x hidden) below which a
+# forward is bound by Python overhead under the interpreter lock, so a pool
+# scores slower than one thread. On 2 CPUs at window 64, a pool took 1.40x
+# the one-thread time at hidden 16, 1.21x at 32 and 0.96x at 64.
+MIN_POOLED_CELLS = 32768
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process has
+    loaded, or None where none is found. NumPy wheels bundle it under a
+    prefixed name, e.g. ``scipy_openblas_set_num_threads64_``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", "_64", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def _scoring_workers(cfg: DctmConfig) -> int:
+    """One per usable CPU, or 1 where jobs are too small to gain from threads."""
+    cells = JOB_WINDOWS * cfg.data.window * cfg.transformer.hidden
+    if cells < MIN_POOLED_CELLS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _CallingThread:
+    """The one-worker pool: runs each job as it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@contextlib.contextmanager
+def _scoring_pool(workers: int):
+    """(pool, workers): ``workers`` threads with OpenBLAS pinned to one
+    thread until the block exits, or the calling thread alone for one
+    worker or where there is no OpenBLAS to pin. The BLAS thread count is
+    process-global, so it is restored only after every worker stopped."""
+    blas = _openblas() if workers > 1 else None
+    if blas is None:
+        yield _CallingThread(), 1
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="dctm-score")
+    try:
+        yield pool, workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+        set_threads(previous)
+
+
+def _window_jobs(sessions: list[Session], cfg: DctmConfig):
+    """(session index, window) jobs of JOB_WINDOWS, windowing one session
+    at a time as the jobs are drawn."""
+    job = []
+    for i, session in enumerate(sessions):
+        for window in make_windows(session, cfg.data.window, cfg.data.stride):
+            job.append((i, window))
+            if len(job) == JOB_WINDOWS:
+                yield job
+                job = []
+    if job:
+        yield job
+
+
 def predict_sessions(model: DctmModel, sessions: list[Session],
                      cfg: DctmConfig) -> dict[str, np.ndarray]:
-    """Per-frame scores for already-normalized sessions, keyed by session.key."""
-    out = {}
-    eval_rng = np.random.default_rng(0)
-    with no_grad():
-        for session in sessions:
-            windows = make_windows(session, cfg.data.window, cfg.data.stride)
-            preds = []
-            for batch in batch_windows(windows, cfg.optim.batch_size, dtype=cfg.dtype):
-                scores = model(batch.features, eval_rng, training=False).data
-                preds.extend(zip(batch.starts, scores))
-            out[session.key] = overlap_average(session.num_frames, preds)
-    return out
+    """Per-frame scores for already-normalized sessions, keyed by session.key.
+
+    Jobs of JOB_WINDOWS windows run on every usable CPU (see
+    `_scoring_workers` and `_scoring_pool`). A window scores
+    bit-identically at any batch row and batch size, so the result equals
+    serial scoring. The final job runs on the calling thread after the
+    others, so the model's `last_attn` and `last_gate` hold its arrays.
+    """
+    preds = [[] for _ in sessions]
+
+    def score(job):
+        batch = batch_windows([w for _, w in job], len(job), dtype=cfg.dtype)[0]
+        return zip(job, model(batch.features, None, training=False).data)
+
+    def collect(scored):
+        for (i, window), scores in scored:
+            preds[i].append((window.start, scores))
+
+    with no_grad(), _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
+        pending = collections.deque()
+        jobs = _window_jobs(sessions, cfg)
+        job = next(jobs, None)
+        for following in jobs:
+            pending.append(pool.submit(score, job))
+            # windows are built at most two jobs per worker ahead of scoring
+            if len(pending) > 2 * workers:
+                collect(pending.popleft().result())
+            job = following
+        while pending:
+            collect(pending.popleft().result())
+        if job is not None:
+            collect(score(job))
+    return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}
 
 
 def score_sessions(model: DctmModel, sessions: list[Session], cfg: DctmConfig):

@@ -56,6 +56,23 @@ class TestForwardShapes:
         assert model.stacks == {}
         assert model(batch(rng), rng).shape == (2, 20)
 
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("kind", ["dilated", "traditional", "none"])
+    def test_eval_forward_needs_no_rng(self, rng, kind, fusion):
+        # scoring passes rng=None: with dropout on, evaluation must draw nothing
+        cfg = small_cfg(conv=ConvConfig(kind=kind, channels=8),
+                        fusion=FusionConfig(kind=fusion),
+                        transformer=TransformerSettings(hidden=16, heads=2, encoder_layers=1,
+                                                        decoder_layers=1, ff_dim=32,
+                                                        dropout=0.3))
+        model = DctmModel(cfg, DIMS, rng)
+        scramble(model, rng)
+        feats = batch(rng)
+        out = model(feats, None, training=False).data
+        np.testing.assert_array_equal(out, model(feats, rng, training=False).data)
+        with pytest.raises(AttributeError):
+            model(feats, None, training=True)
+
     def test_gmu_fusion_forward(self, rng):
         cfg = small_cfg(fusion=FusionConfig(kind="gmu"))
         model = DctmModel(cfg, DIMS, rng)

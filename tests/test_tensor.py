@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.errors import ShapeError
 from dctm.gradcheck import check_gradients, scalarize
-from dctm.tensor import Tensor, attention, cat, layer_norm, linear, no_grad
+from dctm.tensor import Tensor, _toposort, attention, cat, layer_norm, linear, no_grad
 
 
 def t64(a, requires_grad=False):
@@ -134,6 +134,21 @@ class TestBackward:
         with no_grad():
             y = (x * x).sum()
         assert y._backward is None
+
+    def test_walk_visits_only_op_nodes(self):
+        # leaves are left out of the order; their gradients still arrive
+        w = t64([1.0, 2.0], requires_grad=True)
+        c = t64([3.0, 4.0])
+        h = (w * c).tanh()
+        loss = (h * h + w).sum()
+        order = _toposort(loss)
+        assert all(node._backward is not None for node in order)
+        assert order[-1] is loss and len(order) == 5
+        assert order.index(h) < len(order) - 1
+        loss.backward()
+        expected = 2 * np.tanh([3.0, 8.0]) * (1 - np.tanh([3.0, 8.0]) ** 2) * [3.0, 4.0] + 1
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
+        assert c.grad is None
 
     def test_unused_parameter_stays_none(self):
         used = t64([1.0], requires_grad=True)

@@ -1,18 +1,26 @@
 """Training loop and run-directory orchestration."""
 
 import json
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dctm.tensor
 import dctm.train
-from dctm.config import ConvConfig, DataConfig, DctmConfig, OptimConfig
-from dctm.data import (SyntheticSpec, generate_dataset, generate_synthetic,
-                       load_split_sessions, write_session, write_splits)
+from dctm.config import ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig
+from dctm.data import (SyntheticSpec, batch_windows, generate_dataset, generate_synthetic,
+                       load_split_sessions, make_windows, normalize, overlap_average,
+                       write_session, write_splits)
 from dctm.errors import ConfigError, DataError, NumericalError
 from dctm.metrics import ccc
-from dctm.train import evaluate_run, fit, load_run, predict_run, train_run
+from dctm.model import DctmModel
+from dctm.tensor import no_grad
+from dctm.train import (JOB_WINDOWS, evaluate_run, feature_dims_of, fit, load_run,
+                        predict_run, predict_sessions, train_run)
 from dctm.transformer import TransformerSettings
 
 
@@ -253,3 +261,160 @@ def test_build_id_asks_git_once_per_process(monkeypatch):
     monkeypatch.setattr(dctm.train.subprocess, "run", counting)
     assert dctm.train.build_id() == first
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# pooled scoring
+
+def _scoring_setup(precision, fusion):
+    """A model with every weight non-zero (a fresh head scores 0.5 everywhere)
+    and normalized sessions: one shorter than the window, one ending off the
+    stride grid, and 61 windows in all: not a multiple of JOB_WINDOWS, and
+    more jobs than three workers may hold in flight."""
+    cfg = tiny_cfg(precision=precision, fusion=FusionConfig(kind=fusion),
+                   optim=OptimConfig(batch_size=5))
+    lengths = {"s000/expert": 20, "s000/novice": 75}
+    sessions = [_truncated(s, lengths.get(s.key, s.num_frames))
+                for s in tiny_sessions(sessions=3, frames=240)]
+    sessions, _ = normalize(sessions)
+    rng = np.random.default_rng(8)
+    model = DctmModel(cfg, feature_dims_of(sessions), rng)
+    for _, p in model.named_parameters():
+        p.data = (0.2 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+    windows = [w for s in sessions for w in make_windows(s, cfg.data.window, cfg.data.stride)]
+    assert len(windows) == 61 and len(windows) % JOB_WINDOWS != 0
+    return cfg, model, sessions, windows
+
+
+def _serial_scores(model, sessions, cfg):
+    """The reference: per-session batches of optim.batch_size on the calling thread."""
+    out = {}
+    with no_grad():
+        for s in sessions:
+            preds = []
+            for batch in batch_windows(make_windows(s, cfg.data.window, cfg.data.stride),
+                                       cfg.optim.batch_size, dtype=cfg.dtype):
+                preds.extend(zip(batch.starts, model(batch.features, None).data))
+            out[s.key] = overlap_average(s.num_frames, preds)
+    return out
+
+
+@pytest.fixture
+def forward_threads(monkeypatch):
+    """Names of the threads that ran each DctmModel forward, in start order."""
+    names = []
+    real = DctmModel.__call__
+
+    def recording(self, *args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DctmModel, "__call__", recording)
+    return names
+
+
+@pytest.fixture
+def blas():
+    """The loaded OpenBLAS's (get, set) thread-count pair; its count is put back after."""
+    found = dctm.train._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = found[0]()
+    yield found
+    found[1](before)
+
+
+class TestPredictSessionsPool:
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("workers", [3, 1])
+    def test_bit_identical_to_serial_batches(self, monkeypatch, forward_threads,
+                                             precision, fusion, workers):
+        cfg, model, sessions, windows = _scoring_setup(precision, fusion)
+        expected = _serial_scores(model, sessions, cfg)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: workers)
+        forward_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = predict_sessions(model, sessions, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(got) == [s.key for s in sessions]
+        for key, scores in expected.items():
+            assert got[key].tobytes() == scores.tobytes(), key
+        assert len(forward_threads) == -(-len(windows) // JOB_WINDOWS)
+        # the final job runs on the calling thread, after every worker's
+        main = threading.current_thread().name
+        assert forward_threads[-1] == main
+        pooled = workers > 1 and dctm.train._openblas() is not None
+        assert any(t != main for t in forward_threads) == pooled
+
+        # inspection state holds the final job's arrays
+        maps, gate = model.attention_maps(), model.gate_toward_last_modality()
+        final = windows[-(len(windows) % JOB_WINDOWS):]
+        with no_grad():
+            model(batch_windows(final, len(final), dtype=cfg.dtype)[0].features, None)
+        fresh = model.attention_maps()
+        for role in fresh:
+            assert len(maps[role]) == len(fresh[role]) == 1
+            for a, b in zip(maps[role], fresh[role]):
+                assert a.shape[0] == len(final)
+                np.testing.assert_array_equal(a, b)
+        assert gate == model.gate_toward_last_modality()
+
+    def test_blas_threads_pinned_while_scoring_then_restored(self, monkeypatch, blas):
+        cfg, model, sessions, _ = _scoring_setup("float32", "sa")
+        get_threads, set_threads = blas
+        set_threads(2)
+        seen = []
+        real = DctmModel.__call__
+
+        def recording(self, *args, **kwargs):
+            seen.append(get_threads())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DctmModel, "__call__", recording)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        predict_sessions(model, sessions, cfg)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+
+    def test_worker_error_reaches_caller_and_blas_is_restored(self, monkeypatch, blas):
+        cfg, model, sessions, _ = _scoring_setup("float32", "sa")
+        get_threads, set_threads = blas
+        set_threads(2)
+        boom = RuntimeError("forward failed in a worker")
+        real = DctmModel.__call__
+
+        def failing(self, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise boom
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DctmModel, "__call__", failing)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        with pytest.raises(RuntimeError) as caught:
+            predict_sessions(model, sessions, cfg)
+        assert caught.value is boom
+        assert get_threads() == 2
+        assert dctm.tensor._grad_enabled
+
+    def test_small_jobs_score_on_one_thread(self):
+        # 8 windows x 32 frames x hidden 16 cells per job: Python-bound, no pool
+        assert dctm.train._scoring_workers(tiny_cfg()) == 1
+        wide = tiny_cfg(data=DataConfig(window=64, stride=32),
+                        transformer=TransformerSettings(hidden=64, heads=2))
+        assert dctm.train._scoring_workers(wide) == len(os.sched_getaffinity(0))
+
+    def test_without_openblas_scores_on_the_calling_thread(self, monkeypatch,
+                                                           forward_threads):
+        cfg, model, sessions, _ = _scoring_setup("float32", "gmu")
+        expected = _serial_scores(model, sessions, cfg)
+        monkeypatch.setattr(dctm.train, "_openblas", lambda: None)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 4)
+        forward_threads.clear()
+        got = predict_sessions(model, sessions, cfg)
+        assert set(forward_threads) == {threading.current_thread().name}
+        for key, scores in expected.items():
+            assert got[key].tobytes() == scores.tobytes(), key
