@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Linear, Module, ModuleList
-from .tensor import Tensor, cat
+from .tensor import Tensor, cat, gated_unit
 
 
 def _check_aligned(streams: list[Tensor], names: list[str]) -> None:
@@ -43,7 +43,8 @@ class GmuUnit(Module):
     """Two-input gated unit.
 
     h1 = tanh(W1 x1), h2 = tanh(W2 x2), z = sigmoid(Wz [x1; x2]);
-    output z * h1 + (1 - z) * h2, a per-coordinate convex mix.
+    output z * h1 + (1 - z) * h2, a per-coordinate convex mix. One
+    ``gated_unit`` node; the three ``Linear`` children hold its parameters.
     """
 
     def __init__(self, d1: int, d2: int, out_dim: int, rng: np.random.Generator):
@@ -59,11 +60,9 @@ class GmuUnit(Module):
             raise ShapeError(f"gmu input '{names[0]}' has dim {x1.shape[-1]}, expected {self.d1}")
         if x2.shape[-1] != self.d2:
             raise ShapeError(f"gmu input '{names[1]}' has dim {x2.shape[-1]}, expected {self.d2}")
-        h1 = self.transform1(x1).tanh()
-        h2 = self.transform2(x2).tanh()
-        z = self.gate(cat([x1, x2], axis=-1)).sigmoid()
-        self.last_gate = z.data
-        return z * h1 + (1.0 - z) * h2
+        out, self.last_gate = gated_unit(
+            x1, x2, [(p.weight, p.bias) for p in (self.transform1, self.transform2, self.gate)])
+        return out
 
     __call__ = fuse
 

@@ -6,10 +6,19 @@ precision, and every op keeps its inputs' dtype, so a float32 model
 computes its loss, gradients and optimizer state in float32. Every op
 records its parents and a backward closure on the output tensor;
 ``backward()`` on a scalar walks the graph once in reverse topological
-order and accumulates gradients into ``.grad``.
+order, accumulates gradients into the leaves' ``.grad`` and releases
+each node as it passes, so the forward arrays its closure saved are
+freed during the walk. ``no_grad`` switches recording off for the
+calling thread only.
+
+Each layer of the model is one fused op with a closed-form backward:
+``linear``, ``feed_forward``, ``layer_norm``, ``residual_norm``,
+``attention_block`` and ``gated_unit`` here, ``dilated_conv1d`` in
+``conv.py`` and ``ccc_loss`` in ``metrics.py``. A fused op is one tape
+node, whatever number of GEMMs it runs.
 
 The fused kernels reduce short axes two ways. A per-frame reduction (a
-row mean, the softmax denominator, a one-column ``linear``) is an
+row mean, the softmax denominator, a one-column projection) is an
 ``einsum``, which gives each row the same value wherever it sits in the
 batch and however long the padded axis is. A sum over all frames into a
 parameter gradient is a product with a ones vector, which BLAS computes
@@ -21,25 +30,37 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether ops record a graph, kept per thread."""
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording on the calling thread inside the block
+    (evaluation mode). Graphs built on other threads keep recording."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
+
+
+def _released(g):
+    raise RuntimeError("backward() reached a graph node that an earlier backward() "
+                       "already released; build the graph again to differentiate it")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -105,12 +126,19 @@ class Tensor:
 
     @staticmethod
     def _op(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` tensor."""
+        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` tensor.
+
+        The graph is released as the walk passes it: once a node's closure
+        has run, the node drops its closure (and with it the forward arrays
+        the closure saved), its parents and its gradient. Only leaf
+        gradients remain. A second ``backward()`` through a released node
+        raises ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {self.shape}")
         order = _toposort(self)
@@ -123,6 +151,7 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+            node._backward, node._parents, node.grad = _released, (), None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -133,18 +162,6 @@ class Tensor:
         a, b = self, other
         return Tensor._op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape, "sub")
-        out = self.data - other.data
-        a, b = self, other
-        return Tensor._op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "mul")
@@ -154,8 +171,6 @@ class Tensor:
             out, (a, b),
             lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
         )
-
-    __rmul__ = __mul__
 
     # -- pointwise nonlinearities -------------------------------------------
 
@@ -219,6 +234,13 @@ def _toposort(root: Tensor) -> list:
 # -- free functions ---------------------------------------------------------
 
 
+def _rows_at(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for (N, K) rows ``a``. A single output column is a per-frame
+    dot product, which BLAS would run as a GEMV whose rounding depends on the
+    row's position in ``a``, so it is an ``einsum`` instead."""
+    return np.einsum("nd,do->no", a, w) if w.shape[1] == 1 else a @ w
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight + bias`` over the last axis of ``x``.
 
@@ -231,9 +253,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != D:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
     x2 = x.data.reshape(-1, D)
-    # A single output column is a per-frame dot product: BLAS would run it
-    # as a GEMV, whose rounding depends on the row's position in x2.
-    out = np.einsum("nd,do->no", x2, weight.data) if O == 1 else x2 @ weight.data
+    out = _rows_at(x2, weight.data)
     out += bias.data
 
     def bw(g):
@@ -242,6 +262,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 np.ones(len(g2), g2.dtype) @ g2)
 
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, weight, bias), bw)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` over the last axis of ``x``, one tape node.
+
+    The relu runs in place on the hidden buffer, which the backward keeps:
+    its positive cells are the relu's mask.
+    """
+    D, F = w1.shape
+    if x.shape[-1] != D or w2.shape[0] != F:
+        raise ShapeError(f"feed_forward: input {x.shape} does not match weights "
+                         f"{w1.shape} and {w2.shape}")
+    O = w2.shape[1]
+    x2 = x.data.reshape(-1, D)
+    h = _rows_at(x2, w1.data)
+    h += b1.data
+    np.maximum(h, 0, out=h)
+    out = _rows_at(h, w2.data)
+    out += b2.data
+
+    def bw(g):
+        g2 = g.reshape(-1, O)
+        ones = np.ones(len(g2), g2.dtype)
+        gh = g2 @ w2.data.T
+        gh *= h > 0
+        return ((gh @ w1.data.T).reshape(x.shape), x2.T @ gh, ones @ gh,
+                h.T @ g2, ones @ g2)
+
+    return Tensor._op(out.reshape(*x.shape[:-1], O), (x, w1, b1, w2, b2), bw)
 
 
 def _layer_norm_forward(c: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -303,53 +352,164 @@ def residual_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, gain: Tensor,
     return Tensor._op(out, (x, y, gain, bias), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head scaled dot-product attention as one tape node.
+def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tuple],
+                    heads: int) -> tuple[Tensor, np.ndarray]:
+    """A multi-head attention block as one tape node: the q/k/v projections,
+    scaled dot-product attention in ``heads`` subspaces of D / heads, and the
+    output projection.
 
-    ``q`` is (B, Tq, D) and ``k``, ``v`` are (B, Tk, D), already projected;
-    each is split into ``heads`` subspaces of D / heads. Returns the merged
-    context (B, Tq, D) and the softmax weights (B, heads, Tq, Tk). The
-    1/sqrt(d) scale is applied to ``q``. The scores are built transposed,
-    (B, heads, Tk, Tq), so the in-place softmax reduces over axis -2: the
-    max with NumPy, vectorised along the contiguous query axis, and the
-    denominator with an ``einsum``; the weights are its transposed view.
-    The backward is the softmax Jacobian-vector product
-    ``p * (gp - sum(gp * p))`` in the same layout.
+    ``x`` is (B, Tq, D) and ``memory`` (B, Tk, D), or None for
+    self-attention. ``projections`` holds the (weight, bias) pairs of the q,
+    k, v and output projections, each weight (D, D). Returns the output
+    (B, Tq, D) and the softmax weights (B, heads, Tq, Tk).
+
+    Self-attention projects ``x`` once through the (D, 3D) concatenation
+    ``wq|wk|wv``; cross-attention projects q from ``x`` and the packed
+    ``wk|wv`` from ``memory``. Heads are strided views of the projections,
+    and the 1/sqrt(d) scale is applied to q in place. The scores are built
+    transposed, (B, heads, Tk, Tq), so the in-place softmax reduces over
+    axis -2: the max with NumPy, vectorised along the contiguous query axis,
+    and the denominator with an ``einsum``; the weights are its transposed
+    view. The context is written into a (B, Tq, heads, d) buffer, so the
+    output projection reads it as (B·Tq, D) with no head-merge copy.
+
+    The backward runs the softmax Jacobian-vector product
+    ``p * (gp - sum(gp * p))`` in the same layout, and writes the q, k and
+    v gradients into one buffer laid out like the packed projection. The
+    input gradient and the packed weight gradient are then one GEMM each,
+    and the weight and bias gradients are split into views.
     """
-    B, Tq, D = q.shape
-    Tk = k.shape[1]
-    if k.shape != v.shape or k.shape[0] != B or k.shape[2] != D or D % heads:
-        raise ShapeError(
-            f"attention: q {q.shape}, k {k.shape}, v {v.shape} with {heads} heads")
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = projections
+    source = x if memory is None else memory
+    if (x.ndim != 3 or source.ndim != 3 or source.shape[0] != x.shape[0]
+            or source.shape[2] != x.shape[2] or x.shape[2] % heads
+            or any(w.shape != (x.shape[2],) * 2 for w in (wq.data, wk.data, wv.data, wo.data))):
+        raise ShapeError(f"attention: x {x.shape}, memory {source.shape}, weights "
+                         f"{[w.shape for w in (wq, wk, wv, wo)]} with {heads} heads")
+    B, Tq, D = x.shape
+    Tk = source.shape[1]
     d = D // heads
+    scale = 1.0 / math.sqrt(d)
+    x2 = x.data.reshape(-1, D)
+    if memory is None:
+        s2 = x2
+        w_in = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+        qkv = x2 @ w_in
+        qkv += np.concatenate((bq.data, bk.data, bv.data))
+        q, kv = qkv[:, :D], qkv[:, D:]
+    else:
+        s2 = memory.data.reshape(-1, D)
+        w_in = np.concatenate((wk.data, wv.data), axis=1)
+        q = x2 @ wq.data
+        q += bq.data
+        kv = s2 @ w_in
+        kv += np.concatenate((bk.data, bv.data))
+    q *= scale
+    dtype = q.dtype
 
     def split(a, T):
+        """(B·T, D) rows, possibly strided, as a (B, heads, T, d) view."""
         return a.reshape(B, T, heads, d).transpose(0, 2, 1, 3)
 
-    def merge(a, T):
-        return a.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-    scale = 1.0 / math.sqrt(d)
-    qh = split(q.data * scale, Tq)
-    kh, vh = split(k.data, Tk), split(v.data, Tk)
+    qh, kh, vh = split(q, Tq), split(kv[:, :D], Tk), split(kv[:, D:], Tk)
     st = kh @ qh.transpose(0, 1, 3, 2)
     st -= st.max(axis=-2, keepdims=True)
     np.exp(st, out=st)
     st /= np.einsum("bhkq->bhq", st)[..., None, :]
     p = st.transpose(0, 1, 3, 2)
-    out = merge(p @ vh, Tq)
+    ctx = np.empty((B, Tq, heads, d), dtype)
+    np.matmul(p, vh, out=ctx.transpose(0, 2, 1, 3))
+    ctx2 = ctx.reshape(-1, D)
+    out = _rows_at(ctx2, wo.data)
+    out += bo.data
 
     def bw(g):
-        gh = split(g, Tq)
-        gv = st @ gh
+        g2 = g.reshape(-1, D)
+        ones_q = np.ones(len(g2), dtype)
+        gh = split(g2 @ wo.data.T, Tq)
+        if memory is None:
+            g_in = np.empty((B, Tq, 3, heads, d), dtype)
+            gq, g_kv = g_in[:, :, 0], g_in[:, :, 1:]
+        else:
+            gq = np.empty((B, Tq, heads, d), dtype)
+            g_in = g_kv = np.empty((B, Tk, 2, heads, d), dtype)
+        np.matmul(st, gh, out=g_kv[:, :, 1].transpose(0, 2, 1, 3))
         gst = vh @ gh.transpose(0, 1, 3, 2)
         gst -= np.einsum("bhkq,bhkq->bhq", gst, st)[..., None, :]
         gst *= st
-        gq = gst.transpose(0, 1, 3, 2) @ kh
-        gq *= scale
-        return merge(gq, Tq), merge(gst @ qh, Tk), merge(gv, Tk)
+        gqh = gq.transpose(0, 2, 1, 3)
+        np.matmul(gst.transpose(0, 1, 3, 2), kh, out=gqh)
+        gqh *= scale
+        np.matmul(gst, qh, out=g_kv[:, :, 0].transpose(0, 2, 1, 3))
+        g_in = g_in.reshape(len(s2), -1)
+        gw_in = s2.T @ g_in
+        gb_in = np.ones(len(g_in), dtype) @ g_in
+        tail = (gw_in[:, -2 * D:-D], gb_in[-2 * D:-D], gw_in[:, -D:], gb_in[-D:],
+                ctx2.T @ g2, ones_q @ g2)
+        g_src = (g_in @ w_in.T).reshape(source.shape)
+        if memory is None:
+            return (g_src, gw_in[:, :D], gb_in[:D]) + tail
+        gq = gq.reshape(-1, D)
+        return ((gq @ wq.data.T).reshape(x.shape), g_src, x2.T @ gq, ones_q @ gq) + tail
 
-    return Tensor._op(out, (q, k, v), bw), p
+    parents = (x,) if memory is None else (x, memory)
+    parents += (wq, bq, wk, bk, wv, bv, wo, bo)
+    return Tensor._op(out.reshape(B, Tq, D), parents, bw), p
+
+
+def gated_unit(x1: Tensor, x2: Tensor, projections: Sequence[tuple]) -> tuple[Tensor, np.ndarray]:
+    """A gated multimodal unit as one tape node:
+    ``z * tanh(x1 W1 + b1) + (1 - z) * tanh(x2 W2 + b2)`` with
+    ``z = sigmoid([x1; x2] Wz + bz)``, per coordinate over the last axis.
+
+    ``projections`` holds the (weight, bias) pairs of the two transforms and
+    the gate. Returns the output and the gate ``z``. The sigmoid is the
+    stable form, whose ``exp`` only ever sees non-positive arguments.
+    """
+    (w1, b1), (w2, b2), (wz, bz) = projections
+    d1, d2 = x1.shape[-1], x2.shape[-1]
+    O = w1.shape[1]
+    if (x1.shape[:-1] != x2.shape[:-1] or w1.shape[0] != d1 or w2.shape != (d2, O)
+            or wz.shape != (d1 + d2, O)):
+        raise ShapeError(f"gated_unit: inputs {x1.shape} and {x2.shape} do not match "
+                         f"weights {w1.shape}, {w2.shape} and {wz.shape}")
+    a1, a2 = x1.data.reshape(-1, d1), x2.data.reshape(-1, d2)
+    xc = np.concatenate((a1, a2), axis=1)
+    h1 = _rows_at(a1, w1.data)
+    h1 += b1.data
+    np.tanh(h1, out=h1)
+    h2 = _rows_at(a2, w2.data)
+    h2 += b2.data
+    np.tanh(h2, out=h2)
+    s = _rows_at(xc, wz.data)
+    s += bz.data
+    e = np.exp(-np.abs(s))
+    z = np.where(s >= 0, 1.0, e) / (1.0 + e)
+    rest = 1.0 - z
+    out = z * h1
+    out += rest * h2
+
+    def bw(g):
+        g2 = g.reshape(-1, O)
+        ones = np.ones(len(g2), g2.dtype)
+        g1 = g2 * z
+        g1 *= 1.0 - h1 * h1
+        gb = g2 * rest
+        gb *= 1.0 - h2 * h2
+        gs = g2 * (h1 - h2)
+        gs *= z
+        gs *= rest
+        gxc = gs @ wz.data.T
+        gx1 = g1 @ w1.data.T
+        gx1 += gxc[:, :d1]
+        gx2 = gb @ w2.data.T
+        gx2 += gxc[:, d1:]
+        return (gx1.reshape(x1.shape), gx2.reshape(x2.shape), a1.T @ g1, ones @ g1,
+                a2.T @ gb, ones @ gb, xc.T @ gs, ones @ gs)
+
+    lead = x1.shape[:-1]
+    return (Tensor._op(out.reshape(*lead, O), (x1, x2, w1, b1, w2, b2, wz, bz), bw),
+            z.reshape(*lead, O))
 
 
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -271,13 +271,15 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
 
     def score(job):
         batch = batch_windows([w for _, w in job], len(job), dtype=cfg.dtype)[0]
-        return zip(job, model(batch.features, None, training=False).data)
+        # grad mode is per thread, so each worker turns recording off itself
+        with no_grad():
+            return zip(job, model(batch.features, None, training=False).data)
 
     def collect(scored):
         for (i, window), scores in scored:
             preds[i].append((window.start, scores))
 
-    with no_grad(), _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
+    with _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
         pending = collections.deque()
         jobs = _window_jobs(sessions, cfg)
         job = next(jobs, None)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Linear, LayerNorm, Module, ModuleList, dropout_mask
-from .tensor import Tensor, attention
+from .tensor import Tensor, attention_block, feed_forward
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ def positional_encoding(T: int, D: int, dtype=np.float32) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``heads`` parallel subspaces.
 
-    ``last_attn`` keeps the most recent (B, H, T_q, T_k) weight array for
-    inspection; it references the forward buffer, no extra copy is made.
+    The whole block is one ``attention_block`` node; the four ``Linear``
+    children only hold its parameters. ``last_attn`` keeps the most recent
+    (B, H, T_q, T_k) weight array for inspection; it references the forward
+    buffer, no extra copy is made.
     """
 
     def __init__(self, hidden: int, heads: int, rng: np.random.Generator):
@@ -75,13 +77,15 @@ class MultiHeadAttention(Module):
         self.last_attn: np.ndarray | None = None
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
-        source = x if memory is None else memory
-        ctx, self.last_attn = attention(self.wq(x), self.wk(source), self.wv(source),
-                                        self.heads)
-        return self.wo(ctx)
+        out, self.last_attn = attention_block(
+            x, memory, [(p.weight, p.bias) for p in (self.wq, self.wk, self.wv, self.wo)],
+            self.heads)
+        return out
 
 
 class FeedForward(Module):
+    """Position-wise ``relu(x W1 + b1) W2 + b2`` as one ``feed_forward`` node."""
+
     def __init__(self, hidden: int, ff_dim: int, rng: np.random.Generator):
         super().__init__()
         self.expand = Linear(hidden, ff_dim, rng)
@@ -90,7 +94,8 @@ class FeedForward(Module):
         self.contract = Linear(ff_dim, hidden, rng, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.contract(self.expand(x).relu())
+        return feed_forward(x, self.expand.weight, self.expand.bias,
+                            self.contract.weight, self.contract.bias)
 
 
 class EncoderLayer(Module):

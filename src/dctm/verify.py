@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
-from .fusion import GmuUnit
 from .gradcheck import check_gradients, scalarize
 from .metrics import ccc, ccc_loss
 from .reference import attention_single_head_loop, ccc_two_pass, conv1d_direct, conv1d_flip
-from .tensor import Tensor, layer_norm, linear, residual_norm
+from .tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
+                     residual_norm)
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
 
 GRAD_RTOL = 1e-4
@@ -100,27 +100,45 @@ def _grad_cases(rng):
         dil = int(rng.integers(1, 4))
         return arrays, lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil)
 
+    def projections(*shapes):
+        """Flat (weight, bias) arrays for weights of ``shapes``, each weight
+        scaled by 1/sqrt(fan-in) like Xavier's."""
+        return [a for shape in shapes for a in (rng.standard_normal(shape) / np.sqrt(shape[0]),
+                                                rng.standard_normal(shape[1]))]
+
+    def pairs(ts):
+        return list(zip(ts[0::2], ts[1::2]))
+
+    def feed_forward_case():
+        B, T, D, F = (int(v) for v in rng.integers(1, 5, size=4))
+        while True:
+            # the relu's kink is not differentiable: keep every hidden cell off it
+            x = rng.standard_normal((B, T, D))
+            params = projections((D, F), (F, D))
+            if np.abs(x @ params[0] + params[1]).min() > 1e-3:
+                return [x] + params, lambda ts: feed_forward(*ts)
+
     cross_turn = itertools.cycle([False, True])
 
     def attention_case():
         heads = int(rng.choice([1, 2]))
         hidden = heads * int(rng.integers(2, 5))
         B, Tq = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        mha = MultiHeadAttention(hidden, heads, rng)
-        _fill_zero_weights(mha, rng)
+        params = projections(*[(hidden, hidden)] * 4)
         x = rng.standard_normal((B, Tq, hidden))
         if not next(cross_turn):
-            return [x], lambda ts: mha(ts[0])
+            return ([x] + params,
+                    lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads)[0])
         # every other case is cross-attention to a memory of another length
         Tk = Tq + int(rng.integers(1, 4))
-        return ([x, rng.standard_normal((B, Tk, hidden))],
-                lambda ts: mha(ts[0], memory=ts[1]))
+        return ([x, rng.standard_normal((B, Tk, hidden))] + params,
+                lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads)[0])
 
     def gmu_case():
         d1, d2, out = (int(v) for v in rng.integers(1, 5, size=3))
-        gmu = GmuUnit(d1, d2, out, rng)
-        return ([rng.standard_normal((1, 3, d1)), rng.standard_normal((1, 3, d2))],
-                lambda ts: gmu.fuse(ts[0], ts[1]))
+        params = projections((d1, out), (d2, out), (d1 + d2, out))
+        return ([rng.standard_normal((1, 3, d1)), rng.standard_normal((1, 3, d2))] + params,
+                lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0])
 
     def head_case():
         hidden = int(rng.integers(2, 9))
@@ -143,6 +161,7 @@ def _grad_cases(rng):
         ("sigmoid", lambda: (elementwise(1), lambda ts: ts[0].sigmoid())),
         ("relu", lambda: (elementwise(1, margin=0.2), lambda ts: ts[0].relu())),
         ("linear", lambda: (linear_arrays(), lambda ts: linear(*ts))),
+        ("feed_forward", feed_forward_case),
         ("layer_norm", lambda: (layer_norm_arrays(), lambda ts: layer_norm(*ts))),
         ("residual_norm", residual_norm_case),
         ("dilated_conv1d", conv_case),

@@ -1,11 +1,13 @@
-"""The fused ops ``linear``, ``layer_norm``, ``residual_norm``, ``attention``,
-``dilated_conv1d`` and ``ccc_loss`` against numpy, loop, composed-op and
-complex-step references, in float64 and float32.
+"""The fused ops ``linear``, ``feed_forward``, ``layer_norm``,
+``residual_norm``, ``attention_block``, ``gated_unit``, ``dilated_conv1d``
+and ``ccc_loss`` against numpy, loop, composed-op and complex-step
+references, in float64 and float32.
 
 Each op is one tape node with a hand-written backward, so these tests pin
 its forward to an independent formula, its backward to a reference
 gradient, and its dtype: a float32 input gives a float32 output and
-float32 gradients. The ``layer_norm``, ``dilated_conv1d`` and ``ccc_loss``
+float32 gradients. The ``feed_forward``, ``layer_norm``,
+``attention_block``, ``gated_unit``, ``dilated_conv1d`` and ``ccc_loss``
 references differentiate plain NumPy forwards by complex step, which is
 exact to rounding. The kernels write into buffers they allocate; no
 forward or backward may write into an input's ``.data``.
@@ -26,7 +28,8 @@ from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel
 from dctm.reference import attention_single_head_loop
-from dctm.tensor import Tensor, attention, layer_norm, linear, residual_norm
+from dctm.tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
+                         residual_norm)
 from dctm.transformer import TransformerSettings
 
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -150,6 +153,26 @@ def test_complex_step_reference_sees_a_1e9_layer_norm_error(rng, monkeypatch):
         assert_layer_norm_matches(rng, "batched", np.float64)
 
 
+def pairs(ts):
+    """Consecutive (weight, bias) pairs of a flat parameter list."""
+    return list(zip(ts[0::2], ts[1::2]))
+
+
+def numpy_attention_block(x, memory, params, heads):
+    """``attention_block``'s forward in plain NumPy, per head, with the softmax
+    unshifted so that it stays analytic for the complex-step reference."""
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    source = x if memory is None else memory
+    q, k, v = x @ wq + bq, source @ wk + bk, source @ wv + bv
+    d = x.shape[-1] // heads
+    ctx = []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        e = np.exp(q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(d))
+        ctx.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(ctx, axis=-1) @ wo + bo
+
+
 # (B, Tq, Tk): self-attention, cross-attention and a single frame
 ATTN_CASES = {"self": (2, 4, 4), "cross": (3, 2, 5), "single": (1, 1, 1)}
 
@@ -160,48 +183,161 @@ class TestAttention:
     heads, D = 2, 6
 
     def draw(self, rng, case, dtype, transposed=False):
+        """(x, memory or None, the eight projection arrays)."""
         B, Tq, Tk = ATTN_CASES[case]
-        q = rng.standard_normal((B, Tq, self.D)).astype(dtype)
+        x = rng.standard_normal((B, Tq, self.D)).astype(dtype)
         if transposed:
-            q = np.ascontiguousarray(q.transpose(0, 2, 1)).transpose(0, 2, 1)
-            assert not q.flags.c_contiguous
-        k = rng.standard_normal((B, Tk, self.D)).astype(dtype)
-        v = rng.standard_normal((B, Tk, self.D)).astype(dtype)
-        return q, k, v
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert not x.flags.c_contiguous
+        memory = rng.standard_normal((B, Tk, self.D)).astype(dtype) if case == "cross" else None
+        params = [(0.5 * rng.standard_normal(shape)).astype(dtype)
+                  for _ in range(4) for shape in ((self.D, self.D), (self.D,))]
+        return x, memory, params
+
+    def op(self, memory):
+        if memory is None:
+            return lambda ts: attention_block(ts[0], None, pairs(ts[1:]), self.heads)[0]
+        return lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), self.heads)[0]
 
     def test_matches_single_head_loop(self, rng, case, dtype):
-        q, k, v = self.draw(rng, case, dtype)
-        ctx, weights = attention(Tensor(q), Tensor(k), Tensor(v), self.heads)
+        x, memory, params = self.draw(rng, case, dtype)
+        out, weights = attention_block(Tensor(x), None if memory is None else Tensor(memory),
+                                       pairs([Tensor(a) for a in params]), self.heads)
         B, Tq, Tk = ATTN_CASES[case]
-        assert ctx.dtype == dtype and weights.dtype == dtype
+        assert out.dtype == dtype and weights.dtype == dtype
         assert weights.shape == (B, self.heads, Tq, Tk)
+        wq, bq, wk, bk, wv, bv, wo, bo = (a.astype(np.float64) for a in params)
+        x64 = x.astype(np.float64)
+        source = x64 if memory is None else memory.astype(np.float64)
+        q, k, v = x64 @ wq + bq, source @ wk + bk, source @ wv + bv
         d = self.D // self.heads
+        ctx = np.empty((B, Tq, self.D))
         for b in range(B):
             for h in range(self.heads):
                 cols = slice(h * d, (h + 1) * d)
-                want = attention_single_head_loop(*(a[b, :, cols].astype(np.float64)
-                                                    for a in (q, k, v)))
-                assert_close(ctx.data[b, :, cols], want, dtype)
+                ctx[b, :, cols] = attention_single_head_loop(q[b, :, cols], k[b, :, cols],
+                                                             v[b, :, cols])
+        assert_close(out.data, ctx @ wo + bo, dtype)
         assert_close(weights.sum(axis=-1), np.ones((B, self.heads, Tq)), dtype)
 
-    def test_gradients_match_contiguous_float64(self, rng, case, dtype):
-        arrays = self.draw(rng, case, dtype, transposed=case != "single")
-        probe = rng.standard_normal(arrays[0].shape)
-        op = lambda ts: attention(ts[0], ts[1], ts[2], self.heads)[0]  # noqa: E731
-        out, grads = grads_of(op, list(arrays), probe)
+    def test_gradients_match_complex_step(self, rng, case, dtype):
+        x, memory, params = self.draw(rng, case, dtype)
+        arrays = [x] + ([] if memory is None else [memory]) + params
+        probe = rng.standard_normal(x.shape)
+        out, grads = grads_of(self.op(memory), arrays, probe)
         assert_dtype(out, grads, dtype)
-        _, want = grads_of(op, [np.ascontiguousarray(a, dtype=np.float64) for a in arrays],
-                           probe)
+
+        def f(z):
+            mem, rest = (None, z[1:]) if memory is None else (z[1], z[2:])
+            return (numpy_attention_block(z[0], mem, rest, self.heads) * probe).sum()
+
+        arrays64 = [a.astype(np.float64) for a in arrays]
+        assert_close(out.data, numpy_attention_block(
+            arrays64[0], None if memory is None else arrays64[1],
+            arrays64[-8:], self.heads), dtype)
+        for got, ref in zip(grads, complex_step_grads(f, arrays64)):
+            assert_close(got, ref, dtype)
+
+    def test_gradients_match_contiguous_float64(self, rng, case, dtype):
+        x, memory, params = self.draw(rng, case, dtype, transposed=case != "single")
+        arrays = [x] + ([] if memory is None else [memory]) + params
+        probe = rng.standard_normal(x.shape)
+        out, grads = grads_of(self.op(memory), arrays, probe)
+        assert_dtype(out, grads, dtype)
+        _, want = grads_of(self.op(memory),
+                           [np.ascontiguousarray(a, dtype=np.float64) for a in arrays], probe)
         for got, ref in zip(grads, want):
             assert_close(got, ref, dtype)
 
 
 def test_attention_rejects_mismatched_shapes():
-    q = Tensor(np.zeros((2, 3, 4)))
+    x = Tensor(np.zeros((2, 3, 4)))
+    square = [(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))] * 4
     with pytest.raises(ShapeError, match="attention"):
-        attention(q, Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 6, 4))), heads=2)
+        attention_block(x, Tensor(np.zeros((3, 5, 4))), square, heads=2)
+    with pytest.raises(ShapeError, match="attention"):
+        attention_block(x, Tensor(np.zeros((2, 5, 6))), square, heads=2)
+    with pytest.raises(ShapeError, match="attention"):
+        attention_block(x, None, square[:3] + [(Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))],
+                        heads=2)
     with pytest.raises(ShapeError, match="3 heads"):
-        attention(q, q, q, heads=3)
+        attention_block(x, None, square, heads=3)
+
+
+def numpy_feed_forward(x, w1, b1, w2, b2):
+    """``relu(x w1 + b1) w2 + b2`` in plain NumPy. The relu is a multiply by
+    the mask of positive real parts, which the complex step leaves unchanged."""
+    h = x @ w1 + b1
+    return (h * (h.real > 0)) @ w2 + b2
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_feed_forward_matches_numpy_and_complex_step(rng, case, dtype):
+    D, F = 5, 7
+    x = draw_input(rng, case, D, dtype)
+    params = [rng.standard_normal(shape).astype(dtype) for shape in ((D, F), (F,), (F, D), (D,))]
+    probe = rng.standard_normal(x.shape)
+    out, grads = grads_of(lambda ts: feed_forward(*ts), [x] + params, probe)
+    assert_dtype(out, grads, dtype)
+
+    arrays64 = [a.astype(np.float64) for a in [x] + params]
+    assert_close(out.data, numpy_feed_forward(*arrays64), dtype)
+    want = complex_step_grads(lambda z: (numpy_feed_forward(*z) * probe).sum(), arrays64)
+    for got, ref in zip(grads, want):
+        assert_close(got, ref, dtype)
+
+
+def test_feed_forward_rejects_mismatched_weights():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="feed_forward"):
+        feed_forward(x, Tensor(np.zeros((5, 6))), Tensor(np.zeros(6)),
+                     Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="feed_forward"):
+        feed_forward(x, Tensor(np.zeros((4, 6))), Tensor(np.zeros(6)),
+                     Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))
+
+
+def numpy_gated_unit(x1, x2, w1, b1, w2, b2, wz, bz):
+    """GMU in plain NumPy: z * tanh(x1 w1 + b1) + (1 - z) * tanh(x2 w2 + b2),
+    z = sigmoid([x1; x2] wz + bz)."""
+    z = 1.0 / (1.0 + np.exp(-(np.concatenate([x1, x2], axis=-1) @ wz + bz)))
+    return z * np.tanh(x1 @ w1 + b1) + (1.0 - z) * np.tanh(x2 @ w2 + b2)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_gated_unit_matches_numpy_and_complex_step(rng, case, dtype):
+    d1, d2, O = 4, 3, 5
+    x1 = draw_input(rng, case, d1, dtype)
+    x2 = rng.standard_normal(x1.shape[:-1] + (d2,)).astype(dtype)
+    params = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((d1, O), (O,), (d2, O), (O,), (d1 + d2, O), (O,))]
+    probe = rng.standard_normal(x1.shape[:-1] + (O,))
+    gate = []
+
+    def op(ts):
+        out, z = gated_unit(ts[0], ts[1], pairs(ts[2:]))
+        gate.append(z)
+        return out
+
+    out, grads = grads_of(op, [x1, x2] + params, probe)
+    assert_dtype(out, grads, dtype)
+    arrays64 = [a.astype(np.float64) for a in [x1, x2] + params]
+    assert_close(out.data, numpy_gated_unit(*arrays64), dtype)
+    s = np.concatenate(arrays64[:2], axis=-1) @ arrays64[6] + arrays64[7]
+    assert gate[0].dtype == dtype and gate[0].shape == out.shape
+    assert_close(gate[0], 1.0 / (1.0 + np.exp(-s)), dtype)
+    want = complex_step_grads(lambda z: (numpy_gated_unit(*z) * probe).sum(), arrays64)
+    for got, ref in zip(grads, want):
+        assert_close(got, ref, dtype)
+
+
+def test_gated_unit_gate_is_finite_when_saturated():
+    x = Tensor(np.full((1, 2, 1), 1000.0))
+    w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+    out, z = gated_unit(x, Tensor(-x.data), [(w, b), (w, b), (Tensor(np.ones((2, 1))), b)])
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(z))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -278,10 +414,10 @@ def test_dilated_conv1d_matches_direct_sum_and_complex_step(rng, case, dtype):
 
 
 def attention_op(self_attention):
-    """``attention`` over inputs (q, k, v), or one input as all three."""
+    """``attention_block`` over (x, memory, parameters), or over (x, parameters)."""
     if self_attention:
-        return lambda ts: attention(ts[0], ts[0], ts[0], heads=2)
-    return lambda ts: attention(ts[0], ts[1], ts[2], heads=2)
+        return lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads=2)
+    return lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads=2)
 
 
 def residual_norm_op(dropout):
@@ -299,8 +435,11 @@ NO_MUTATION = {
     "layer_norm": (lambda ts: layer_norm(*ts), [(2, 3, 4), (4,), (4,)]),
     "residual_norm": (residual_norm_op(False), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "residual_norm_dropout": (residual_norm_op(True), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
-    "self_attention": (attention_op(True), [(2, 5, 4)]),
-    "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    "feed_forward": (lambda ts: feed_forward(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    "self_attention": (attention_op(True), [(2, 5, 4)] + [(4, 4), (4,)] * 4),
+    "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4)] + [(4, 4), (4,)] * 4),
+    "gated_unit": (lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0],
+                   [(2, 3, 4), (2, 3, 2), (4, 5), (5,), (2, 5), (5,), (6, 5), (5,)]),
     "dilated_conv1d": (lambda ts: dilated_conv1d(*ts, 2), [(2, 3, 6), (4, 3, 3), (4,)]),
 }
 
@@ -320,7 +459,8 @@ def test_forward_and_backward_leave_inputs_unwritten(rng, name, dtype):
     assert [t.data.tobytes() for t in ts] == before
     assert KEEP[dtype].tobytes() == keep_before
     if weights is not None:
-        B, Tq, Tk = out.shape[0], out.shape[1], ts[-1].shape[1]
+        B, Tq = out.shape[:2]
+        Tk = ts[1].shape[1] if ts[1].ndim == 3 else Tq
         assert weights.shape == (B, 2, Tq, Tk)
         assert_close(weights.sum(axis=-1), np.ones((B, 2, Tq)), dtype)
 

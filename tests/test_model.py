@@ -9,6 +9,7 @@ from dctm.fusion import ConcatFusion, GatedFusion
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
 from dctm.optim import Adam
+from dctm.tensor import _toposort
 from dctm.transformer import TransformerSettings
 
 DIMS = {"head": 5, "pose": 7, "voice": 4}
@@ -213,3 +214,17 @@ class TestParameters:
             assert p.grad is not None and p.grad.dtype == cfg.dtype, name
         for m, v in zip(opt.m, opt.v):
             assert m.dtype == cfg.dtype and v.dtype == cfg.dtype
+
+
+@pytest.mark.parametrize("fusion", ["sa", "gmu"])
+def test_default_training_step_records_65_op_nodes(rng, fusion):
+    """One default-architecture step is a fixed number of tape nodes, so a
+    change that adds nodes edits this test on purpose. Per modality: 3 convs,
+    2 relus and a transpose (18); the fusion, concat and projection or two
+    gated units (2); the positional add (1); 4 per encoder layer (attention,
+    norm, feed-forward, norm; 16) and 6 per decoder layer (24); the head's
+    linear, sigmoid and reshape (3); the loss (1)."""
+    cfg = DctmConfig(fusion=FusionConfig(kind=fusion))
+    model = DctmModel(cfg, DIMS, rng)
+    loss = ccc_loss(model(batch(rng, W=16), rng, training=True), rng.random((2, 16)))
+    assert len(_toposort(loss)) == 65

@@ -380,6 +380,25 @@ class TestPredictSessionsPool:
         assert seen and set(seen) == {1}
         assert get_threads() == 2
 
+    def test_pooled_scoring_builds_no_graph(self, monkeypatch, blas):
+        # grad mode is per thread: every worker must turn recording off itself
+        cfg, model, sessions, _ = _scoring_setup("float32", "sa")
+        recorded = []
+        real = DctmModel.__call__
+
+        def recording(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            recorded.append((threading.current_thread() is threading.main_thread(),
+                             out._backward is None))
+            return out
+
+        monkeypatch.setattr(DctmModel, "__call__", recording)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        predict_sessions(model, sessions, cfg)
+        assert not all(on_main for on_main, _ in recorded)
+        assert all(no_graph for _, no_graph in recorded)
+        assert dctm.tensor._grad_mode.enabled
+
     def test_worker_error_reaches_caller_and_blas_is_restored(self, monkeypatch, blas):
         cfg, model, sessions, _ = _scoring_setup("float32", "sa")
         get_threads, set_threads = blas
@@ -398,7 +417,7 @@ class TestPredictSessionsPool:
             predict_sessions(model, sessions, cfg)
         assert caught.value is boom
         assert get_threads() == 2
-        assert dctm.tensor._grad_enabled
+        assert dctm.tensor._grad_mode.enabled
 
     def test_small_jobs_score_on_one_thread(self):
         # 8 windows x 32 frames x hidden 16 cells per job: Python-bound, no pool

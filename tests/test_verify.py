@@ -16,7 +16,7 @@ from dctm.verify import (
 )
 
 EXPECTED_OPS = {
-    "add", "mul", "tanh", "sigmoid", "relu", "linear",
+    "add", "mul", "tanh", "sigmoid", "relu", "linear", "feed_forward",
     "layer_norm", "residual_norm", "dilated_conv1d", "attention", "gmu", "sigmoid_head",
     "ccc_loss",
 }
