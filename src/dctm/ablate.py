@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DctmConfig, to_flat
 from .conv import receptive_field
-from .data import MODALITIES, load_split_sessions
+from .data import MODALITIES, Session, load_split_sessions
 from .errors import ConfigError
 from .metrics import magnitude_ccc
 from .model import conv_specs
@@ -110,8 +110,24 @@ def run_ablation(base: DctmConfig,
                     cell.wall_time_s = time.perf_counter() - t0
                     cells.append(cell)
 
-    magnitude = magnitude_table(base, subjects)
+    magnitude = []
+    for subject in subjects:
+        magnitude += _magnitude_rows(subject, raw[subject][0], base.data.modalities)
     return cells, magnitude
+
+
+def _magnitude_rows(subject: str, sessions: list[Session], modalities) -> list[MagnitudeRow]:
+    """Raw-feature L2-norm CCC against labels, per modality of one subject's
+    raw training sessions."""
+    rows = []
+    labels = np.concatenate([s.labels for s in sessions])
+    mask = np.concatenate([s.frame_mask for s in sessions])
+    for m in modalities:
+        feats = np.concatenate([s.streams[m].features for s in sessions])
+        r = magnitude_ccc(np.where(np.isnan(feats), 0.0, feats), labels, mask)
+        rows.append(MagnitudeRow(subject=subject, modality=m, ccc=r.ccc,
+                                 degenerate=r.degenerate, n=r.n))
+    return rows
 
 
 def magnitude_table(base: DctmConfig, subjects) -> list[MagnitudeRow]:
@@ -119,13 +135,7 @@ def magnitude_table(base: DctmConfig, subjects) -> list[MagnitudeRow]:
     rows = []
     for subject in subjects:
         sessions = load_split_sessions(base.data.root, "train", subject)
-        for m in base.data.modalities:
-            feats = np.concatenate([s.streams[m].features for s in sessions])
-            labels = np.concatenate([s.labels for s in sessions])
-            mask = np.concatenate([s.frame_mask for s in sessions])
-            r = magnitude_ccc(np.where(np.isnan(feats), 0.0, feats), labels, mask)
-            rows.append(MagnitudeRow(subject=subject, modality=m, ccc=r.ccc,
-                                     degenerate=r.degenerate, n=r.n))
+        rows += _magnitude_rows(subject, sessions, base.data.modalities)
     return rows
 
 

@@ -58,7 +58,8 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Te
     out += bias.data[:, None]
 
     def bw(g):
-        gx = _conv_input_grad(g, weight.data, dilation, (B, C_in, T), pad)
+        gx = (_conv_input_grad(g, weight.data, dilation, (B, C_in, T), pad)
+              if x.requires_grad else None)
         g2 = g.transpose(1, 0, 2).reshape(C_out, B * T)
         gw = np.empty_like(weight.data)
         for k in range(K):

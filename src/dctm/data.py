@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -559,15 +560,25 @@ def roles_for_subject(subject: str) -> tuple[str, ...]:
     raise DataError(f"unknown subject filter {subject!r}; use expert, novice, or both")
 
 
-def load_split_sessions(root, split: str, subject: str = "both",
-                        modalities=MODALITIES, require_labels: bool = True) -> list[Session]:
-    """All sessions of one split, expanded over the requested roles."""
+def split_members(root, split: str, subject: str = "both") -> list[tuple[str, str]]:
+    """(session id, role) of each member of one split, from splits.json alone."""
     splits = load_splits(root)
     if split not in splits:
         raise DataError(f"split {split!r} not present in {Path(root) / 'splits.json'}")
-    out = []
-    for sid in splits[split]:
-        for role in roles_for_subject(subject):
-            out.append(load_session(root, sid, role, modalities=modalities,
-                                    require_labels=require_labels))
-    return out
+    roles = roles_for_subject(subject)
+    return [(sid, role) for sid in splits[split] for role in roles]
+
+
+def iter_sessions(root, members, modalities=MODALITIES,
+                  require_labels: bool = True) -> Iterator[Session]:
+    """Each (session id, role) of ``members``, read from disk as it is drawn."""
+    for sid, role in members:
+        yield load_session(root, sid, role, modalities=modalities,
+                           require_labels=require_labels)
+
+
+def load_split_sessions(root, split: str, subject: str = "both",
+                        modalities=MODALITIES, require_labels: bool = True) -> list[Session]:
+    """All sessions of one split, expanded over the requested roles."""
+    return list(iter_sessions(root, split_members(root, split, subject), modalities,
+                              require_labels))

@@ -30,10 +30,14 @@ def conv_specs(cfg: DctmConfig, in_channels: int) -> list[ConvLayerSpec]:
 
 
 class DctmModel(Module):
-    """Assembled regressor; architecture is fixed by (config, feature dims)."""
+    """Assembled regressor; architecture is fixed by (config, feature dims).
+
+    ``rng`` draws the initial weights. With None nothing is drawn: weights
+    start at zero and norm gains at one, for a model whose parameters come
+    from a checkpoint."""
 
     def __init__(self, cfg: DctmConfig, feature_dims: dict[str, int],
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         super().__init__()
         self.cfg = cfg
         self.modalities = list(cfg.data.modalities)

@@ -1,11 +1,13 @@
 """Ablation grid and the per-modality magnitude table."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
 import dctm.ablate
+import dctm.data
 from dctm.ablate import (
     ablate_run,
     format_grid,
@@ -54,6 +56,24 @@ class TestModalitySets:
 
 
 class TestGrid:
+    def test_grid_reads_each_session_once(self, dataset, monkeypatch):
+        # the magnitude table reuses the training sessions the grid trained on
+        reads = collections.Counter()
+        real = dctm.data.load_session
+
+        def counting(root, session_id, role, **kwargs):
+            reads[f"{session_id}/{role}"] += 1
+            return real(root, session_id, role, **kwargs)
+
+        monkeypatch.setattr(dctm.data, "load_session", counting)
+        cells, magnitude = run_ablation(base_cfg(dataset), conv_kinds=("none",),
+                                        fusion_kinds=("sa", "gmu"))
+        assert [c.status for c in cells] == ["ok", "ok"]
+        splits = json.loads((dataset / "splits.json").read_text())
+        assert reads == {f"{sid}/{role}": 1 for sid in splits["train"] + splits["val"]
+                         for role in ("expert", "novice")}
+        assert magnitude == magnitude_table(base_cfg(dataset), subjects=("both",))
+
     def test_cells_cover_requested_grid(self, dataset):
         cells, magnitude = run_ablation(base_cfg(dataset),
                                         conv_kinds=("dilated", "none"),

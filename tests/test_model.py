@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import dctm.conv
 from dctm.config import ConvConfig, DctmConfig, DataConfig, FusionConfig
 from dctm.errors import ConfigError, ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
 from dctm.optim import Adam
-from dctm.tensor import _toposort
+from dctm.tensor import Tensor, _toposort
 from dctm.transformer import TransformerSettings
 
 DIMS = {"head": 5, "pose": 7, "voice": 4}
@@ -214,6 +215,41 @@ class TestParameters:
             assert p.grad is not None and p.grad.dtype == cfg.dtype, name
         for m, v in zip(opt.m, opt.v):
             assert m.dtype == cfg.dtype and v.dtype == cfg.dtype
+
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("kind", ["dilated", "traditional", "none"])
+    def test_backward_skips_the_raw_feature_gradient(self, monkeypatch, kind, fusion):
+        """The features take no gradient, so backward computes none for
+        them: the first conv layer skips its input scatter. Every parameter
+        gradient is byte-identical to a pass that differentiates the
+        features too."""
+        cfg = small_cfg(conv=ConvConfig(kind=kind, channels=8),
+                        fusion=FusionConfig(kind=fusion),
+                        transformer=TransformerSettings(hidden=16, heads=2, encoder_layers=1,
+                                                        decoder_layers=1, ff_dim=32,
+                                                        dropout=0.1))
+        calls = []
+        real = dctm.conv._conv_input_grad
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(dctm.conv, "_conv_input_grad", counting)
+        counts, grads = [], []
+        for track in (False, True):
+            model = DctmModel(cfg, DIMS, np.random.default_rng(4))
+            scramble(model, np.random.default_rng(5))
+            rng = np.random.default_rng(6)
+            feats = {m: Tensor(x, requires_grad=track) for m, x in batch(rng).items()}
+            calls.clear()
+            ccc_loss(model(feats, rng, training=True), rng.random((2, 20))).backward()
+            counts.append(len(calls))
+            grads.append({name: p.grad.tobytes() for name, p in model.named_parameters()})
+            assert all((x.grad is not None) == track for x in feats.values())
+        layers = 0 if kind == "none" else len(cfg.conv.kernels)
+        assert counts == [len(DIMS) * max(layers - 1, 0), len(DIMS) * layers]
+        assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("fusion", ["sa", "gmu"])

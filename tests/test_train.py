@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import sys
 import threading
 from dataclasses import replace
@@ -9,12 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dctm.data
 import dctm.tensor
 import dctm.train
-from dctm.config import ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig
-from dctm.data import (SyntheticSpec, batch_windows, generate_dataset, generate_synthetic,
-                       load_split_sessions, make_windows, normalize, overlap_average,
-                       write_session, write_splits)
+from dctm.checkpoint import load_checkpoint, restore_into
+from dctm.cli import EXIT_CONFIG, main
+from dctm.config import (ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig,
+                         resolve_config)
+from dctm.data import (NormStats, SyntheticSpec, batch_windows, generate_dataset,
+                       generate_synthetic, load_split_sessions, make_windows, normalize,
+                       overlap_average, write_session, write_splits)
 from dctm.errors import ConfigError, DataError, NumericalError
 from dctm.metrics import ccc
 from dctm.model import DctmModel
@@ -437,3 +442,173 @@ class TestPredictSessionsPool:
         assert set(forward_threads) == {threading.current_thread().name}
         for key, scores in expected.items():
             assert got[key].tobytes() == scores.tobytes(), key
+
+
+# ---------------------------------------------------------------------------
+# streamed evaluation and prediction
+
+@pytest.fixture(scope="module")
+def stream_env(tmp_path_factory):
+    """A dataset whose val split holds 3 sessions x 2 roles of 100 frames
+    (36 windows at window 32, stride 16) and one trained run per precision
+    and fusion kind."""
+    root = tmp_path_factory.mktemp("stream-data")
+    generate_dataset(root, SyntheticSpec(seed=5, sessions=5, frames=100, dims=(4, 5, 3)),
+                     val_fraction=0.6)
+    runs = {}
+    for precision in ("float32", "float64"):
+        for fusion in ("sa", "gmu"):
+            run = tmp_path_factory.mktemp("stream-runs") / f"{precision}-{fusion}"
+            train_run(tiny_cfg(root=root, epochs=1, precision=precision,
+                               fusion=FusionConfig(kind=fusion)), run)
+            runs[precision, fusion] = run
+    return root, runs
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """("load", key) per load_session and ("forward", thread name) per
+    DctmModel forward, in the order they start."""
+    log = []
+    real_load, real_call = dctm.data.load_session, DctmModel.__call__
+
+    def loading(root, session_id, role, **kwargs):
+        log.append(("load", f"{session_id}/{role}"))
+        return real_load(root, session_id, role, **kwargs)
+
+    def forward(self, *args, **kwargs):
+        log.append(("forward", threading.current_thread().name))
+        return real_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(dctm.data, "load_session", loading)
+    monkeypatch.setattr(DctmModel, "__call__", forward)
+    return log
+
+
+def _copy_run(env, tmp_path, corrupt=None):
+    """A copy of the float32 sa run and its dataset, reports and all; ``corrupt``
+    edits the text of the last val session's novice voice CSV."""
+    root, runs = env
+    run, data = tmp_path / "run", tmp_path / "data"
+    shutil.copytree(runs["float32", "sa"], run)
+    shutil.copytree(root, data)
+    last = json.loads((data / "splits.json").read_text())["val"][-1]
+    if corrupt is not None:
+        path = data / last / "novice.voice.csv"
+        path.write_text(corrupt(path.read_text()))
+    return run, data, last
+
+
+class TestStreamedSplit:
+    def test_scoring_starts_before_the_last_session_is_read(self, stream_env, events):
+        _, runs = stream_env
+        report = evaluate_run(runs["float32", "sa"], split="val")
+        assert len(report.per_session) == 6
+        loads = [i for i, (kind, _) in enumerate(events) if kind == "load"]
+        forwards = [i for i, (kind, _) in enumerate(events) if kind == "forward"]
+        assert len(loads) == 6 and len(forwards) == -(-36 // JOB_WINDOWS)
+        assert forwards[0] < loads[-1]
+
+    def test_malformed_later_session_fails_mid_scoring(self, stream_env, tmp_path,
+                                                       monkeypatch, blas, capsys):
+        def bad_row(text):
+            lines = text.splitlines()
+            lines[40] = "39,banana"
+            return "\n".join(lines) + "\n"
+
+        run, data, last = _copy_run(stream_env, tmp_path, bad_row)
+        # the bad session is read only once a pool worker has begun a forward
+        scoring = threading.Event()
+        real_load, real_call = dctm.data.load_session, DctmModel.__call__
+
+        def forward(self, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                scoring.set()
+            return real_call(self, *args, **kwargs)
+
+        def loading(root, session_id, role, **kwargs):
+            if (session_id, role) == (last, "novice"):
+                scoring.wait(timeout=30)
+            return real_load(root, session_id, role, **kwargs)
+
+        monkeypatch.setattr(DctmModel, "__call__", forward)
+        monkeypatch.setattr(dctm.data, "load_session", loading)
+        get_threads, set_threads = blas
+        set_threads(2)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        with pytest.raises(DataError, match=rf"{last}/novice\.voice\.csv:41: expected"):
+            evaluate_run(run, overrides={"data.root": str(data)})
+        assert scoring.is_set()
+        assert get_threads() == 2
+        assert dctm.tensor._grad_mode.enabled
+
+        assert main(["evaluate", "--run", str(run), f"--data.root={data}"]) == EXIT_CONFIG
+        assert "novice.voice.csv:41: expected" in capsys.readouterr().err
+        assert get_threads() == 2
+
+    def test_warning_of_a_later_session_reaches_the_report(self, stream_env, tmp_path):
+        # 10 of the 100 rows dropped: a severe length mismatch
+        run, data, last = _copy_run(
+            stream_env, tmp_path, lambda text: "\n".join(text.splitlines()[:-10]) + "\n")
+        report = evaluate_run(run, overrides={"data.root": str(data)})
+        saved = json.loads((run / "report.val.best.json").read_text())
+        assert saved["warnings"] == report.warnings
+        assert len(saved["warnings"]) == 1
+        assert saved["warnings"][0].startswith(f"{last}/novice: severe length mismatch")
+
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_scores_equal_eager_reference(self, stream_env, tmp_path, monkeypatch,
+                                          precision, fusion):
+        """The reference draws the initial weights, restores the checkpoint
+        over them, reads and normalizes the whole split, then scores it
+        serially."""
+        root, runs = stream_env
+        run = runs[precision, fusion]
+        cfg = resolve_config(run / "config.txt")
+        model = DctmModel(cfg, json.loads((run / "meta.json").read_text())["feature_dims"],
+                          np.random.default_rng(cfg.seed))
+        restore_into(list(model.named_parameters()),
+                     load_checkpoint(run / "checkpoint.best.dctm"))
+        sessions, _ = normalize(load_split_sessions(root, "val"),
+                                stats=NormStats.load(run / "norm_stats.csv"))
+        expected = _serial_scores(model, sessions, cfg)
+
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        report = evaluate_run(run, split="val")
+        written = predict_run(run, tmp_path, split="val")
+        assert [s.session for s in report.per_session] == list(expected)
+        masks = [s.frame_mask for s in sessions]
+        for score, session, mask in zip(report.per_session, sessions, masks):
+            assert score.ccc == ccc(expected[session.key][mask], session.labels[mask]).ccc
+        overall = ccc(np.concatenate([expected[s.key][m] for s, m in zip(sessions, masks)]),
+                      np.concatenate([s.labels[m] for s, m in zip(sessions, masks)]))
+        assert report.ccc_overall == overall.ccc
+        assert [p.name for p in written] == [f"{s.session_id}.{s.role}.scores.csv"
+                                             for s in sessions]
+        for path, session in zip(written, sessions):
+            frames = session.streams["voice"].frame_index
+            assert path.read_text() == "frame,score\n" + "".join(
+                f"{int(f)},{float(v)!r}\n" for f, v in zip(frames, expected[session.key]))
+
+    def test_load_run_draws_no_weights(self, stream_env):
+        _, runs = stream_env
+        cfg, model, _, meta = load_run(runs["float32", "gmu"])
+        seeded = DctmModel(cfg, meta["feature_dims"], np.random.default_rng(cfg.seed))
+        assert ([(n, p.data.shape, p.data.dtype) for n, p in model.named_parameters()]
+                == [(n, p.data.shape, p.data.dtype) for n, p in seeded.named_parameters()])
+        # weights are zeros and the norm gains ones: nothing was drawn
+        assert all(set(np.unique(p.data)) <= {0.0, 1.0} for p in model.parameters())
+
+    @pytest.mark.parametrize("split, error", [("test", DataError), ("empty", ConfigError)])
+    def test_bad_split_raises_before_any_read(self, stream_env, tmp_path, events,
+                                              split, error):
+        run, data, _ = _copy_run(stream_env, tmp_path)
+        splits = json.loads((data / "splits.json").read_text())
+        (data / "splits.json").write_text(json.dumps({**splits, "empty": []}))
+        overrides = {"data.root": str(data)}
+        with pytest.raises(error, match=split):
+            evaluate_run(run, split=split, overrides=overrides)
+        with pytest.raises(error, match=split):
+            predict_run(run, tmp_path / "scores", split=split, overrides=overrides)
+        assert events == []
