@@ -16,12 +16,10 @@ metrics; the cells themselves are imputed to 0 after normalization.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -111,6 +109,21 @@ class WindowBatch:
 
 # an empty or whitespace-only cell after a comma: a missing value
 _BLANK_CELL = re.compile(r",[^\S\n]*(?=[,\n])")
+_NAN = np.frombuffer(b"nan", np.uint8)
+
+
+def _fill_empty_cells(text: str) -> str:
+    """``text`` with nan written into each empty cell after a comma, found
+    by one vectorized scan of its UTF-8 bytes, in a fraction of the time the
+    regex takes. Commas are ASCII, so no character is split."""
+    b = np.frombuffer(text.encode(), np.uint8)
+    after = b[1:]
+    at = np.flatnonzero((b[:-1] == ord(",")) & ((after == ord(",")) | (after == ord("\n"))))
+    return np.insert(b, np.repeat(at + 1, 3), np.tile(_NAN, at.size)).tobytes().decode()
+
+
+def _load_rows(text: str, dtype: np.dtype) -> np.ndarray:
+    return np.loadtxt(text.split("\n"), delimiter=",", comments=None, dtype=dtype, ndmin=1)
 
 
 def _parse_rows(text: str, n_values: int) -> np.ndarray:
@@ -119,10 +132,15 @@ def _parse_rows(text: str, n_values: int) -> np.ndarray:
     read as NaN. Raises ValueError for a wrong column count, a frame that
     is not an integer or a cell that is not a float."""
     dtype = np.dtype([("frame", np.int64), ("values", np.float64, (n_values,))])
-    text = _BLANK_CELL.sub(",nan", text + "\n")
-    if not text.strip("\n"):
+    text += "\n"
+    filled = _fill_empty_cells(text)
+    if not filled.strip("\n"):
         return np.empty(0, dtype)
-    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    try:
+        return _load_rows(filled, dtype)
+    except ValueError:
+        # the float parse rejects a whitespace-only cell, which is missing too
+        return _load_rows(_BLANK_CELL.sub(",nan", text), dtype)
 
 
 def _bad_row(path: Path, body: str, n_columns: int) -> DataError:
@@ -560,25 +578,15 @@ def roles_for_subject(subject: str) -> tuple[str, ...]:
     raise DataError(f"unknown subject filter {subject!r}; use expert, novice, or both")
 
 
-def split_members(root, split: str, subject: str = "both") -> list[tuple[str, str]]:
-    """(session id, role) of each member of one split, from splits.json alone."""
-    splits = load_splits(root)
-    if split not in splits:
-        raise DataError(f"split {split!r} not present in {Path(root) / 'splits.json'}")
-    roles = roles_for_subject(subject)
-    return [(sid, role) for sid in splits[split] for role in roles]
-
-
-def iter_sessions(root, members, modalities=MODALITIES,
-                  require_labels: bool = True) -> Iterator[Session]:
-    """Each (session id, role) of ``members``, read from disk as it is drawn."""
-    for sid, role in members:
-        yield load_session(root, sid, role, modalities=modalities,
-                           require_labels=require_labels)
-
-
 def load_split_sessions(root, split: str, subject: str = "both",
                         modalities=MODALITIES, require_labels: bool = True) -> list[Session]:
     """All sessions of one split, expanded over the requested roles."""
-    return list(iter_sessions(root, split_members(root, split, subject), modalities,
-                              require_labels))
+    splits = load_splits(root)
+    if split not in splits:
+        raise DataError(f"split {split!r} not present in {Path(root) / 'splits.json'}")
+    out = []
+    for sid in splits[split]:
+        for role in roles_for_subject(subject):
+            out.append(load_session(root, sid, role, modalities=modalities,
+                                    require_labels=require_labels))
+    return out

@@ -32,9 +32,8 @@ def conv_specs(cfg: DctmConfig, in_channels: int) -> list[ConvLayerSpec]:
 class DctmModel(Module):
     """Assembled regressor; architecture is fixed by (config, feature dims).
 
-    ``rng`` draws the initial weights. With None nothing is drawn: weights
-    start at zero and norm gains at one, for a model whose parameters come
-    from a checkpoint."""
+    ``rng`` draws the initial weights. With None nothing is drawn and every
+    parameter is zero, for a model whose parameters come from a checkpoint."""
 
     def __init__(self, cfg: DctmConfig, feature_dims: dict[str, int],
                  rng: np.random.Generator | None):
@@ -66,9 +65,12 @@ class DctmModel(Module):
         self.head = RegressionHead(hidden, rng)
         # The one place parameters take the configured precision: modules
         # draw in float64, so the cast gives float32 and float64 models the
-        # same initial values from the same rng draws.
+        # same initial values from the same rng draws. Without draws, fresh
+        # zeros are placeholders whose memory is first touched when a
+        # checkpoint is restored over them; a cast would read and write it all.
         for p in self.parameters():
-            p.data = p.data.astype(cfg.dtype, copy=False)
+            p.data = (p.data.astype(cfg.dtype, copy=False) if rng is not None
+                      else np.zeros(p.data.shape, cfg.dtype))
 
     def __call__(self, features: dict[str, np.ndarray], rng,
                  training: bool = False) -> Tensor:

@@ -8,9 +8,7 @@ records its parents and a backward closure on the output tensor;
 ``backward()`` on a scalar walks the graph once in reverse topological
 order, accumulates gradients into the leaves' ``.grad`` and releases
 each node as it passes, so the forward arrays its closure saved are
-freed during the walk. A closure returns None for a parent that takes
-no gradient, such as a raw input or a constant, rather than computing
-a product nobody reads. ``no_grad`` switches recording off for the
+freed during the walk. ``no_grad`` switches recording off for the
 calling thread only.
 
 Each layer of the model is one fused op with a closed-form backward:
@@ -162,9 +160,7 @@ class Tensor:
         _check_broadcast(self.shape, other.shape, "add")
         out = self.data + other.data
         a, b = self, other
-        return Tensor._op(out, (a, b), lambda g: (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None))
+        return Tensor._op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -262,8 +258,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, O)
-        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, np.ones(len(g2), g2.dtype) @ g2
+        return ((g2 @ weight.data.T).reshape(x.shape), x2.T @ g2,
+                np.ones(len(g2), g2.dtype) @ g2)
 
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, weight, bias), bw)
 
@@ -503,18 +499,13 @@ def gated_unit(x1: Tensor, x2: Tensor, projections: Sequence[tuple]) -> tuple[Te
         gs = g2 * (h1 - h2)
         gs *= z
         gs *= rest
-        gx1 = gx2 = None
-        if x1.requires_grad or x2.requires_grad:
-            gxc = gs @ wz.data.T
-        if x1.requires_grad:
-            gx1 = g1 @ w1.data.T
-            gx1 += gxc[:, :d1]
-            gx1 = gx1.reshape(x1.shape)
-        if x2.requires_grad:
-            gx2 = gb @ w2.data.T
-            gx2 += gxc[:, d1:]
-            gx2 = gx2.reshape(x2.shape)
-        return (gx1, gx2, a1.T @ g1, ones @ g1, a2.T @ gb, ones @ gb, xc.T @ gs, ones @ gs)
+        gxc = gs @ wz.data.T
+        gx1 = g1 @ w1.data.T
+        gx1 += gxc[:, :d1]
+        gx2 = gb @ w2.data.T
+        gx2 += gxc[:, d1:]
+        return (gx1.reshape(x1.shape), gx2.reshape(x2.shape), a1.T @ g1, ones @ g1,
+                a2.T @ gb, ones @ gb, xc.T @ gs, ones @ gs)
 
     lead = x1.shape[:-1]
     return (Tensor._op(out.reshape(*lead, O), (x1, x2, w1, b1, w2, b2, wz, bz), bw),

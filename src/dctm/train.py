@@ -2,17 +2,7 @@
 
 `fit` is the pure in-memory loop (used by the CLI, the ablation grid,
 and the test-suite); `train_run` / `evaluate_run` / `predict_run` wrap
-it with run-directory persistence.
-
-`evaluate_run` and `predict_run` stream their split: the model is built
-without initial draws, the checkpoint restored into it, and each
-(session, role) is read and normalized only when `predict_sessions`
-needs its windows, so scoring starts while later sessions are still on
-disk. An unknown or empty split raises before anything is scored; a
-malformed file in a later session raises its `DataError` mid-scoring,
-after the worker pool has stopped.
-
-Run directory layout:
+it with run-directory persistence:
 
     <run>/config.txt            resolved flat config
     <run>/norm_stats.csv        training-set normalization stats
@@ -35,7 +25,6 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -45,15 +34,12 @@ from .config import DctmConfig, resolve_config, to_flat
 from .data import (
     NormStats,
     Session,
-    apply_norm_stats,
     batch_windows,
-    iter_sessions,
     load_split_sessions,
     make_windows,
     normalize,
     overlap_average,
     read_json,
-    split_members,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import CccResult, ccc, ccc_loss
@@ -257,13 +243,11 @@ def _scoring_pool(workers: int):
         set_threads(previous)
 
 
-def _window_jobs(sessions: Iterable[Session], cfg: DctmConfig, drawn: list[Session]):
-    """(index into ``drawn``, window) jobs of JOB_WINDOWS. Sessions are
-    drawn and windowed one at a time as the jobs are drawn, and each is
-    appended to ``drawn`` before its first window."""
+def _window_jobs(sessions: list[Session], cfg: DctmConfig):
+    """(session index, window) jobs of JOB_WINDOWS, windowing one session
+    at a time as the jobs are drawn."""
     job = []
     for i, session in enumerate(sessions):
-        drawn.append(session)
         for window in make_windows(session, cfg.data.window, cfg.data.stride):
             job.append((i, window))
             if len(job) == JOB_WINDOWS:
@@ -273,23 +257,9 @@ def _window_jobs(sessions: Iterable[Session], cfg: DctmConfig, drawn: list[Sessi
         yield job
 
 
-class Predictions(dict):
-    """Per-frame scores keyed by session key, in the order the sessions
-    were drawn; ``sessions`` holds the drawn sessions in that order."""
-
-    def __init__(self, sessions: list[Session], scores: list[np.ndarray]):
-        super().__init__((s.key, p) for s, p in zip(sessions, scores))
-        self.sessions = sessions
-
-
-def predict_sessions(model: DctmModel, sessions: Iterable[Session],
-                     cfg: DctmConfig) -> Predictions:
+def predict_sessions(model: DctmModel, sessions: list[Session],
+                     cfg: DctmConfig) -> dict[str, np.ndarray]:
     """Per-frame scores for already-normalized sessions, keyed by session.key.
-
-    ``sessions`` may be a lazy iterable: each session is drawn only when
-    its windows are needed, so the pool scores the first jobs while later
-    sessions are still being read. An error raised while drawing one
-    reaches the caller after the pool has stopped.
 
     Jobs of JOB_WINDOWS windows run on every usable CPU (see
     `_scoring_workers` and `_scoring_pool`). A window scores
@@ -297,8 +267,7 @@ def predict_sessions(model: DctmModel, sessions: Iterable[Session],
     serial scoring. The final job runs on the calling thread after the
     others, so the model's `last_attn` and `last_gate` hold its arrays.
     """
-    drawn = []
-    preds = collections.defaultdict(list)
+    preds = [[] for _ in sessions]
 
     def score(job):
         batch = batch_windows([w for _, w in job], len(job), dtype=cfg.dtype)[0]
@@ -312,7 +281,7 @@ def predict_sessions(model: DctmModel, sessions: Iterable[Session],
 
     with _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
         pending = collections.deque()
-        jobs = _window_jobs(sessions, cfg, drawn)
+        jobs = _window_jobs(sessions, cfg)
         job = next(jobs, None)
         for following in jobs:
             pending.append(pool.submit(score, job))
@@ -324,17 +293,15 @@ def predict_sessions(model: DctmModel, sessions: Iterable[Session],
             collect(pending.popleft().result())
         if job is not None:
             collect(score(job))
-    return Predictions(drawn, [overlap_average(s.num_frames, preds[i])
-                               for i, s in enumerate(drawn)])
+    return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}
 
 
-def score_sessions(model: DctmModel, sessions: Iterable[Session], cfg: DctmConfig):
-    """(overall CccResult, per-session scores, per-frame predictions), the
-    sessions drawn from ``sessions`` as `predict_sessions` does."""
+def score_sessions(model: DctmModel, sessions: list[Session], cfg: DctmConfig):
+    """(overall CccResult, per-session scores, per-frame predictions)."""
     predictions = predict_sessions(model, sessions, cfg)
     per_session = []
     all_pred, all_true = [], []
-    for session in predictions.sessions:
+    for session in sessions:
         if session.labels is None:
             raise DataError(f"session {session.key} has no labels to score against")
         mask = session.frame_mask
@@ -513,7 +480,11 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
 
 
 def load_run(run_dir, overrides: dict[str, str] | None = None):
-    """(config, model-with-weights, stats) from a training run directory."""
+    """(config, model, stats, meta) from a training run directory.
+
+    The model has the run's architecture but every parameter is zero:
+    nothing is drawn, since a checkpoint supplies every parameter. Restore
+    one into it (`restore_into`) before scoring."""
     run = Path(run_dir)
     if not run.is_dir():
         raise DataError(f"run directory not found: {run}")
@@ -525,37 +496,31 @@ def load_run(run_dir, overrides: dict[str, str] | None = None):
         raise DataError(f"{run / 'meta.json'}: 'feature_dims' must map each of "
                         f"{', '.join(cfg.data.modalities)} to a positive int, got {dims!r}")
     stats = NormStats.load(run / "norm_stats.csv")
-    # zero weights, no init draws: the caller restores a checkpoint over them
     model = DctmModel(cfg, dims, None)
     return cfg, model, stats, meta
 
 
 def _open_split(run_dir, split: str, which: str, overrides, require_labels: bool):
-    """(config, model with the `which` checkpoint, the split's normalized
-    sessions as a lazy iterator, checkpoint path).
-
-    The split is checked against splits.json here, so an unknown or empty
-    split raises before any session is read; each session is read and
-    normalized only when it is drawn."""
+    """(config, model with the `which` checkpoint, normalized split, checkpoint path)."""
     cfg, model, stats, _ = load_run(run_dir, overrides)
     if which not in ("best", "last"):
         raise ConfigError(f"checkpoint selector must be 'best' or 'last', got {which!r}")
     path = Path(run_dir) / f"checkpoint.{which}.dctm"
     restore_into(list(model.named_parameters()), load_checkpoint(path))
-    members = split_members(cfg.data.root, split, cfg.data.subject)
-    if not members:
+    sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
+                                   cfg.data.modalities, require_labels=require_labels)
+    if not sessions:
         raise ConfigError(f"split {split!r} contains no sessions")
-    sessions = iter_sessions(cfg.data.root, members, cfg.data.modalities,
-                             require_labels=require_labels)
-    return cfg, model, (apply_norm_stats(s, stats) for s in sessions), path
+    normed, _ = normalize(sessions, stats=stats)
+    return cfg, model, normed, path
 
 
 def evaluate_run(run_dir, split: str = "val", which: str = "best",
                  overrides: dict[str, str] | None = None, log=None) -> EvalReport:
     t0 = time.perf_counter()
-    cfg, model, sessions, path = _open_split(run_dir, split, which, overrides,
-                                             require_labels=True)
-    overall, per_session, predictions = score_sessions(model, sessions, cfg)
+    cfg, model, normed, path = _open_split(run_dir, split, which, overrides,
+                                           require_labels=True)
+    overall, per_session, _ = score_sessions(model, normed, cfg)
     report = EvalReport(
         split=split,
         ccc_overall=overall.ccc,
@@ -565,7 +530,7 @@ def evaluate_run(run_dir, split: str = "val", which: str = "best",
         build=build_id(),
         wall_time_s=time.perf_counter() - t0,
         checkpoint=str(path),
-        warnings=[w for s in predictions.sessions for w in s.warnings],
+        warnings=[w for s in normed for w in s.warnings],
     )
     report.save(Path(run_dir), stem=f"report.{split}.{which}")
     if log is not None:
@@ -575,13 +540,13 @@ def evaluate_run(run_dir, split: str = "val", which: str = "best",
 
 def predict_run(run_dir, out_dir, split: str = "val", which: str = "best",
                 overrides: dict[str, str] | None = None) -> list[Path]:
-    cfg, model, sessions, _ = _open_split(run_dir, split, which, overrides,
-                                          require_labels=False)
-    predictions = predict_sessions(model, sessions, cfg)
+    cfg, model, normed, _ = _open_split(run_dir, split, which, overrides,
+                                        require_labels=False)
+    predictions = predict_sessions(model, normed, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for session in predictions.sessions:
+    for session in normed:
         scores = predictions[session.key]
         path = out / f"{session.session_id}.{session.role}.scores.csv"
         frames = next(iter(session.streams.values())).frame_index

@@ -1,9 +1,11 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dctm.data
 from dctm.data import (
     _read_feature_csv,
     MODALITIES,
@@ -161,6 +163,32 @@ class TestBulkCsvIngest:
         assert got[2][finite].tobytes() == want[2][finite].tobytes()
         assert np.isnan(got[2][2, :3]).all() and np.isnan(got[2][6, [0, 2]]).all()
         assert np.isnan(got[2][8, 3])
+
+    @pytest.mark.parametrize("blank, parses", [("", 1), ("  ", 2), ("\t", 2)])
+    def test_only_whitespace_cells_take_a_second_parse(self, tmp_path, monkeypatch,
+                                                       blank, parses):
+        # empty cells, runs of them and a trailing one fill before the first
+        # parse; a whitespace-only cell fails it and takes the slower fill
+        calls = []
+        real = dctm.data._load_rows
+
+        def counting(text, dtype):
+            calls.append(text)
+            return real(text, dtype)
+
+        monkeypatch.setattr(dctm.data, "_load_rows", counting)
+        path = tmp_path / "x.csv"
+        path.write_text(f"frame,a,b,c\n0,,,\n1,1,{blank},2\n2,,,3\n3,4,5,\n")
+        got, want = _read_feature_csv(path), per_cell_csv_reader(path)
+        assert len(calls) == parses
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+        assert np.isnan(got[2]).sum() == 7
+
+    @given(st.text(alphabet=",\n 1.é", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_empty_cell_fill_matches_a_lookahead_regex(self, text):
+        assert dctm.data._fill_empty_cells(text) == re.sub(r",(?=[,\n])", ",nan", text)
 
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "x.csv"
