@@ -45,6 +45,8 @@ class GmuUnit(Module):
     h1 = tanh(W1 x1), h2 = tanh(W2 x2), z = sigmoid(Wz [x1; x2]);
     output z * h1 + (1 - z) * h2, a per-coordinate convex mix. One
     ``gated_unit`` node; the three ``Linear`` children hold its parameters.
+    ``last_gate`` keeps the most recent ``z`` for inspection, or None with
+    ``inspect`` off.
     """
 
     def __init__(self, d1: int, d2: int, out_dim: int, rng: np.random.Generator):
@@ -54,14 +56,16 @@ class GmuUnit(Module):
         self.transform2 = Linear(d2, out_dim, rng)
         self.gate = Linear(d1 + d2, out_dim, rng)
         self.last_gate: np.ndarray | None = None
+        self.inspect = True
 
     def fuse(self, x1: Tensor, x2: Tensor, names=("first", "second")) -> Tensor:
         if x1.shape[-1] != self.d1:
             raise ShapeError(f"gmu input '{names[0]}' has dim {x1.shape[-1]}, expected {self.d1}")
         if x2.shape[-1] != self.d2:
             raise ShapeError(f"gmu input '{names[1]}' has dim {x2.shape[-1]}, expected {self.d2}")
-        out, self.last_gate = gated_unit(
+        out, z = gated_unit(
             x1, x2, [(p.weight, p.bias) for p in (self.transform1, self.transform2, self.gate)])
+        self.last_gate = z if self.inspect else None
         return out
 
     __call__ = fuse

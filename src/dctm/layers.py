@@ -34,6 +34,12 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
+    def modules(self):
+        """This module and every submodule, depth first."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
+
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None

@@ -7,15 +7,17 @@ is a (B, W) score matrix in (0, 1).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .config import DctmConfig
 from .conv import ConvLayerSpec, ConvStack, receptive_field
 from .errors import ConfigError, ShapeError
-from .fusion import ConcatFusion, GatedFusion
+from .fusion import ConcatFusion, GatedFusion, GmuUnit
 from .layers import Module
 from .tensor import Tensor
-from .transformer import EncoderDecoder, RegressionHead
+from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead
 
 
 def conv_specs(cfg: DctmConfig, in_channels: int) -> list[ConvLayerSpec]:
@@ -107,3 +109,17 @@ class DctmModel(Module):
 
     def attention_maps(self):
         return self.core.attention_maps()
+
+    @contextlib.contextmanager
+    def uninspected(self):
+        """Forwards inside the block keep no attention weights or gates:
+        ``last_attn`` and ``last_gate`` read None, and each forward frees
+        them with its other buffers instead of holding them until the next."""
+        holders = [m for m in self.modules() if isinstance(m, (MultiHeadAttention, GmuUnit))]
+        for m in holders:
+            m.inspect = False
+        try:
+            yield
+        finally:
+            for m in holders:
+                m.inspect = True

@@ -266,6 +266,11 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
     bit-identically at any batch row and batch size, so the result equals
     serial scoring. The final job runs on the calling thread after the
     others, so the model's `last_attn` and `last_gate` hold its arrays.
+    The jobs before it run `uninspected`: a job's attention weights (1 MiB
+    per block for 8 windows at the default architecture) would otherwise
+    stay alive in its worker's malloc arena until another job replaced
+    them, which took the two arenas of a 2-CPU pool from about 5 to about
+    18 MB each.
     """
     preds = [[] for _ in sessions]
 
@@ -283,14 +288,15 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
         pending = collections.deque()
         jobs = _window_jobs(sessions, cfg)
         job = next(jobs, None)
-        for following in jobs:
-            pending.append(pool.submit(score, job))
-            # windows are built at most two jobs per worker ahead of scoring
-            if len(pending) > 2 * workers:
+        with model.uninspected():
+            for following in jobs:
+                pending.append(pool.submit(score, job))
+                # windows are built at most two jobs per worker ahead of scoring
+                if len(pending) > 2 * workers:
+                    collect(pending.popleft().result())
+                job = following
+            while pending:
                 collect(pending.popleft().result())
-            job = following
-        while pending:
-            collect(pending.popleft().result())
         if job is not None:
             collect(score(job))
     return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}

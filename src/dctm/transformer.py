@@ -59,7 +59,8 @@ class MultiHeadAttention(Module):
     The whole block is one ``attention_block`` node; the four ``Linear``
     children only hold its parameters. ``last_attn`` keeps the most recent
     (B, H, T_q, T_k) weight array for inspection; it references the forward
-    buffer, no extra copy is made.
+    buffer, no extra copy is made. With ``inspect`` off it is None, and the
+    buffer is freed with the forward's others.
     """
 
     def __init__(self, hidden: int, heads: int, rng: np.random.Generator):
@@ -75,11 +76,13 @@ class MultiHeadAttention(Module):
         # learning rates around 1e-3 (random init collapses to a constant).
         self.wo = Linear(hidden, hidden, rng, zero_init=True)
         self.last_attn: np.ndarray | None = None
+        self.inspect = True
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
-        out, self.last_attn = attention_block(
+        out, attn = attention_block(
             x, memory, [(p.weight, p.bias) for p in (self.wq, self.wk, self.wv, self.wo)],
             self.heads)
+        self.last_attn = attn if self.inspect else None
         return out
 
 

@@ -159,6 +159,25 @@ class TestIntrospection:
                 assert m.shape == (2, 2, 20, 20)
                 np.testing.assert_allclose(m.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_uninspected_forward_keeps_no_maps_or_gates(self, rng):
+        model = DctmModel(small_cfg(fusion=FusionConfig(kind="gmu")), DIMS, rng)
+        scramble(model, rng)
+        x = batch(rng)
+        kept = model(x, rng).data
+        with model.uninspected():
+            dropped = model(x, rng).data
+            assert model.attention_maps() == {"encoder_self": [], "decoder_self": [],
+                                              "decoder_cross": []}
+            with pytest.raises(RuntimeError, match="no forward pass"):
+                model.gate_toward_last_modality()
+        np.testing.assert_array_equal(dropped, kept)
+        # leaving the block, even by an error, turns inspection back on
+        with pytest.raises(ValueError), model.uninspected():
+            raise ValueError
+        model(x, rng)
+        assert all(len(group) == 1 for group in model.attention_maps().values())
+        assert model.gate_toward_last_modality() is not None
+
 
 class TestParameters:
     def test_same_seed_same_parameters(self):

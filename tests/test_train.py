@@ -404,6 +404,26 @@ class TestPredictSessionsPool:
         assert all(no_graph for _, no_graph in recorded)
         assert dctm.tensor._grad_mode.enabled
 
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_only_the_final_job_keeps_attention_weights_and_gates(self, monkeypatch,
+                                                                  workers):
+        # a kept array would live in its worker's malloc arena until the next job
+        cfg, model, sessions, windows = _scoring_setup("float32", "gmu")
+        kept = []
+        real = DctmModel.__call__
+
+        def recording(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            kept.append((any(self.attention_maps().values()),
+                         self.fusion.units[-1].last_gate is not None))
+            return out
+
+        monkeypatch.setattr(DctmModel, "__call__", recording)
+        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: workers)
+        predict_sessions(model, sessions, cfg)
+        jobs = -(-len(windows) // JOB_WINDOWS)
+        assert kept == [(False, False)] * (jobs - 1) + [(True, True)]
+
     def test_worker_error_reaches_caller_and_blas_is_restored(self, monkeypatch, blas):
         cfg, model, sessions, _ = _scoring_setup("float32", "sa")
         get_threads, set_threads = blas
