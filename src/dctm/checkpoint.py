@@ -36,6 +36,9 @@ def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Records by name, as read-only little-endian float32 views of the
+    file's bytes: nothing is copied here. ``restore_into`` makes the one
+    copy; copy an array before writing to it."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
@@ -67,14 +70,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         dims = tuple(read_u64(f"{record} shape") for _ in range(rank))
         n = math.prod(dims)
         payload = take(4 * n, f"{record} payload")
-        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after last record")
     return out
 
 
 def restore_into(params: list[tuple[str, "object"]], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into model parameters, matching by name and shape."""
+    """Copy loaded arrays into model parameters, matching by name and shape.
+    Each parameter gets a fresh writeable array in its own dtype."""
     param_names = {name for name, _ in params}
     missing = param_names - set(loaded)
     extra = set(loaded) - param_names

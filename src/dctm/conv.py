@@ -51,17 +51,17 @@ def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Te
     pad = dilation * (K - 1) // 2
     xpad = np.zeros((B, C_in, T + 2 * pad), dtype=x.dtype)
     xpad[:, :, pad:pad + T] = x.data
-    taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # (K, C_out, C_in)
+    w, input_grad = weight.data, x.requires_grad
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
     out = taps[0] @ xpad[:, :, :T]
     for k in range(1, K):
         out += taps[k] @ xpad[:, :, dilation * k:dilation * k + T]
     out += bias.data[:, None]
 
     def bw(g):
-        gx = (_conv_input_grad(g, weight.data, dilation, (B, C_in, T), pad)
-              if x.requires_grad else None)
+        gx = _conv_input_grad(g, w, dilation, (B, C_in, T), pad) if input_grad else None
         g2 = g.transpose(1, 0, 2).reshape(C_out, B * T)
-        gw = np.empty_like(weight.data)
+        gw = np.empty_like(w)
         for k in range(K):
             xs = xpad[:, :, dilation * k:dilation * k + T]
             gw[:, :, k] = g2 @ xs.transpose(1, 0, 2).reshape(C_in, B * T).T

@@ -91,18 +91,22 @@ class LayerNorm(Module):
         self.bias = zeros((dim,))
 
     def __call__(self, x: Tensor, branch: Tensor | None = None,
-                 keep: np.ndarray | None = None) -> Tensor:
-        """``norm(x)``, or the post-norm residual ``norm(x + branch * keep)``."""
+                 drop: tuple | None = None) -> Tensor:
+        """``norm(x)``, or the post-norm residual ``norm(x + dropout(branch))``
+        with ``drop`` from ``dropout_mask``."""
         if branch is None:
             return layer_norm(x, self.gain, self.bias)
-        return residual_norm(x, branch, keep, self.gain, self.bias)
+        return residual_norm(x, branch, drop, self.gain, self.bias)
 
 
 def dropout_mask(like: Tensor, rate: float, rng: np.random.Generator,
-                 training: bool) -> np.ndarray | None:
-    """Inverted-dropout multiplier shaped like ``like``: 0 or 1 / (1 - rate)
-    per cell. None (no dropout) when not training or rate == 0."""
+                 training: bool) -> tuple[np.ndarray, np.generic] | None:
+    """Inverted dropout for a tensor shaped like ``like``: a ``(keep, scale)``
+    pair of a bool mask, true for the cells kept, and ``1 / (1 - rate)`` in
+    ``like``'s dtype. None (no dropout) when not training or rate == 0. The
+    mask is a byte a cell; ``residual_norm`` applies it as ``(y * scale) *
+    keep``."""
     if not training or rate <= 0.0:
         return None
-    keep = (rng.random(like.shape) >= rate).astype(like.dtype)
-    return keep / np.asarray(1.0 - rate, dtype=like.dtype)
+    keep = rng.random(like.shape) >= rate
+    return keep, np.asarray(1.0, like.dtype) / np.asarray(1.0 - rate, like.dtype)

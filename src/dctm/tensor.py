@@ -3,11 +3,19 @@
 Values live in numpy arrays. Parameter factories create float64
 arrays; ``DctmModel`` casts its parameters once to the configured
 precision, and every op keeps its inputs' dtype, so a float32 model
-computes its loss, gradients and optimizer state in float32. Every op
-records its parents and a backward closure on the output tensor;
-``backward()`` on a scalar walks the graph once in reverse topological
-order, accumulates gradients into the leaves' ``.grad`` and releases
-each node as it passes, so the forward arrays its closure saved are
+computes its loss, gradients and optimizer state in float32.
+
+The tape holds nodes, not tensors. Every op that records gives its
+output tensor a ``_Node``: the backward closure, the nodes of its inputs
+and, during the walk, the gradient of its output. A leaf that takes a
+gradient is its own node, so its gradient lands in its ``.grad``. A
+closure captures the arrays it reads (a saved activation, a weight's
+``.data``, a shape), never a ``Tensor``, so an op's output array lives
+only as long as a tensor or a closure references it: a branch output
+that the residual norm has consumed is freed at once, not at
+``backward()``. ``backward()`` on a scalar walks the nodes once in reverse
+topological order, accumulates gradients into the leaves' ``.grad`` and
+releases each node as it passes, so the arrays its closure saved are
 freed during the walk. ``no_grad`` switches recording off for the
 calling thread only.
 
@@ -83,18 +91,31 @@ def _check_broadcast(a_shape: tuple, b_shape: tuple, op: str) -> None:
         raise ShapeError(f"{op}: shapes {a_shape} and {b_shape} do not broadcast") from None
 
 
-class Tensor:
-    """n-d array plus optional gradient buffer and graph linkage."""
+class _Node:
+    """One recorded op: its backward closure, the nodes of its inputs (None
+    for an input that takes no gradient) and, during ``backward()``, the
+    gradient of its output. It references no tensor, so it keeps no forward
+    array alive beyond those its closure captured."""
+    __slots__ = ("backward", "parents", "grad", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, backward, parents: tuple):
+        self.backward = backward
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+
+
+class Tensor:
+    """n-d array plus optional gradient buffer and the node of the op that
+    made it (``_node``; None for a leaf or when no graph was recorded)."""
+
+    def __init__(self, data, requires_grad: bool = False, _node: _Node | None = None):
         # a full reduction yields an np.generic: keep its dtype, so a float32
         # loss stays float32; plain Python numbers become float64
         self.data = data if isinstance(data, np.ndarray) else np.asarray(
             data, dtype=getattr(data, "dtype", np.float64))
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = _node
 
     # -- basic introspection ------------------------------------------------
 
@@ -126,8 +147,15 @@ class Tensor:
 
     @staticmethod
     def _op(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        if _grad_mode.enabled and any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+        """The output of an op on ``parents``. ``backward(g)`` returns one
+        gradient (or None) per parent and must not capture a parent tensor."""
+        if _grad_mode.enabled:
+            # the gradient of a parent flows into the node of the op that
+            # made it, or into the parent itself if it is a leaf taking one
+            nodes = tuple(p._node if p._node is not None else p if p.requires_grad else None
+                          for p in parents)
+            if any(n is not None for n in nodes):
+                return Tensor(data, True, _Node(backward, nodes))
         return Tensor(data)
 
     def backward(self) -> None:
@@ -141,17 +169,18 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {self.shape}")
+        if self._node is None:
+            self.grad = np.ones_like(self.data)
+            return
         order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is None:
-                continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+            grads = node.backward(node.grad)
+            for parent, g in zip(node.parents, grads):
+                if g is None or parent is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-            node._backward, node._parents, node.grad = _released, (), None
+            node.backward, node.parents, node.grad = _released, (), None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -159,63 +188,62 @@ class Tensor:
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "add")
         out = self.data + other.data
-        a, b = self, other
-        return Tensor._op(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        a_shape, b_shape = self.shape, other.shape
+        return Tensor._op(out, (self, other),
+                          lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
     def __mul__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "mul")
-        out = self.data * other.data
-        a, b = self, other
+        a, b = self.data, other.data
+        out = a * b
         return Tensor._op(
-            out, (a, b),
-            lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+            out, (self, other),
+            lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)),
         )
 
     # -- pointwise nonlinearities -------------------------------------------
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
-        a = self
-        return Tensor._op(out, (a,), lambda g: (g * (1.0 - out * out),))
+        return Tensor._op(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def sigmoid(self) -> "Tensor":
         x = self.data
         # stable form; exp only ever sees non-positive arguments
         e = np.exp(-np.abs(x))
         out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        a = self
-        return Tensor._op(out, (a,), lambda g: (g * out * (1.0 - out),))
+        return Tensor._op(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def relu(self) -> "Tensor":
         out = np.maximum(self.data, 0)
-        a = self
-        return Tensor._op(out, (a,), lambda g: (g * (a.data > 0),))
+        # the backward keeps the sign mask (a byte a cell), not the input
+        positive = self.data > 0
+        return Tensor._op(out, (self,), lambda g: (g * positive,))
 
     # -- reduction and shape manipulation ------------------------------------
 
     def sum(self) -> "Tensor":
         """Sum of every element, as a 0-d tensor of the same dtype."""
-        a = self
-        return Tensor._op(self.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape),))
+        shape = self.shape
+        return Tensor._op(self.data.sum(), (self,), lambda g: (np.broadcast_to(g, shape),))
 
     def reshape(self, *shape) -> "Tensor":
-        a = self
+        old = self.shape
         out = self.data.reshape(shape)
-        return Tensor._op(out, (a,), lambda g: (g.reshape(a.shape),))
+        return Tensor._op(out, (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, *axes) -> "Tensor":
-        a = self
         inv = tuple(np.argsort(axes))
         out = self.data.transpose(axes)
-        return Tensor._op(out, (a,), lambda g: (g.transpose(inv),))
+        return Tensor._op(out, (self,), lambda g: (g.transpose(inv),))
 
 
 def _toposort(root: Tensor) -> list:
-    """Iterative DFS post-order over the op nodes (tensors with a backward)
-    below ``root``; inputs of an op always precede it. Leaves are not
-    visited: ``backward()`` accumulates their gradients from their ops."""
-    order, visited, stack = [], set(), [(root, False)]
+    """Iterative DFS post-order over the op nodes below ``root``'s node;
+    the nodes of an op's inputs always precede it. Leaves are not visited:
+    ``backward()`` accumulates their gradients from their ops."""
+    order, visited, stack = [], set(), [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -225,8 +253,8 @@ def _toposort(root: Tensor) -> list:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p._backward is not None and id(p) not in visited:
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in visited:
                 stack.append((p, False))
     return order
 
@@ -252,14 +280,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     D, O = weight.shape
     if x.shape[-1] != D:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
+    x_shape, w = x.shape, weight.data
     x2 = x.data.reshape(-1, D)
-    out = _rows_at(x2, weight.data)
+    out = _rows_at(x2, w)
     out += bias.data
 
     def bw(g):
         g2 = g.reshape(-1, O)
-        return ((g2 @ weight.data.T).reshape(x.shape), x2.T @ g2,
-                np.ones(len(g2), g2.dtype) @ g2)
+        return ((g2 @ w.T).reshape(x_shape), x2.T @ g2, np.ones(len(g2), g2.dtype) @ g2)
 
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, weight, bias), bw)
 
@@ -275,20 +303,20 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         raise ShapeError(f"feed_forward: input {x.shape} does not match weights "
                          f"{w1.shape} and {w2.shape}")
     O = w2.shape[1]
+    x_shape, wa, wb = x.shape, w1.data, w2.data
     x2 = x.data.reshape(-1, D)
-    h = _rows_at(x2, w1.data)
+    h = _rows_at(x2, wa)
     h += b1.data
     np.maximum(h, 0, out=h)
-    out = _rows_at(h, w2.data)
+    out = _rows_at(h, wb)
     out += b2.data
 
     def bw(g):
         g2 = g.reshape(-1, O)
         ones = np.ones(len(g2), g2.dtype)
-        gh = g2 @ w2.data.T
+        gh = g2 @ wb.T
         gh *= h > 0
-        return ((gh @ w1.data.T).reshape(x.shape), x2.T @ gh, ones @ gh,
-                h.T @ g2, ones @ g2)
+        return ((gh @ wa.T).reshape(x_shape), x2.T @ gh, ones @ gh, h.T @ g2, ones @ g2)
 
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, w1, b1, w2, b2), bw)
 
@@ -327,27 +355,41 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     normalized input ``xhat`` and inverse deviation ``inv``.
     """
     c = x.data - _row_mean(x.data)
-    out, xhat, inv = _layer_norm_forward(c, gain.data, bias.data)
-    return Tensor._op(out, (x, gain, bias),
-                      lambda g: _layer_norm_backward(g, xhat, inv, gain.data))
+    gn = gain.data
+    out, xhat, inv = _layer_norm_forward(c, gn, bias.data)
+    return Tensor._op(out, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gn))
 
 
-def residual_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, gain: Tensor,
+def residual_norm(x: Tensor, y: Tensor, drop: tuple | None, gain: Tensor,
                   bias: Tensor) -> Tensor:
-    """``layer_norm(x + y * keep)`` as one tape node: a post-norm residual.
+    """``layer_norm(x + dropout(y))`` as one tape node: a post-norm residual.
 
-    ``keep`` is the inverted-dropout multiplier of branch ``y`` (0 or
-    1 / (1 - rate) per cell), or None for no dropout. The backward is
-    ``layer_norm``'s; ``x`` receives its input gradient and ``y`` that
-    gradient times ``keep``.
+    ``drop`` is the inverted dropout of branch ``y``: a ``(keep, scale)``
+    pair of a bool mask shaped like ``y`` and ``1 / (1 - rate)`` in y's
+    dtype (see ``layers.dropout_mask``), or None for no dropout. The branch
+    is ``(y * scale) * keep``, which rounds exactly as ``y`` times the float
+    multiplier ``keep * scale`` would, signed zeros included. The backward
+    is ``layer_norm``'s; ``x`` receives its input gradient ``gs`` and ``y``
+    ``(gs * scale) * keep``. The node keeps the mask, not ``y``.
     """
-    s = x.data + (y.data if keep is None else y.data * keep)
+    if drop is None:
+        s = x.data + y.data
+    else:
+        keep, scale = drop
+        s = y.data * scale
+        s *= keep
+        s += x.data
     s -= _row_mean(s)
-    out, xhat, inv = _layer_norm_forward(s, gain.data, bias.data)
+    gn = gain.data
+    out, xhat, inv = _layer_norm_forward(s, gn, bias.data)
 
     def bw(g):
-        gs, ggain, gbias = _layer_norm_backward(g, xhat, inv, gain.data)
-        return gs, (gs if keep is None else gs * keep), ggain, gbias
+        gs, ggain, gbias = _layer_norm_backward(g, xhat, inv, gn)
+        if drop is None:
+            return gs, gs, ggain, gbias
+        gy = gs * scale
+        gy *= keep
+        return gs, gy, ggain, gbias
 
     return Tensor._op(out, (x, y, gain, bias), bw)
 
@@ -390,8 +432,10 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
     Tk = source.shape[1]
     d = D // heads
     scale = 1.0 / math.sqrt(d)
+    cross, x_shape, src_shape = memory is not None, x.shape, source.shape
+    w_q, w_o = wq.data, wo.data
     x2 = x.data.reshape(-1, D)
-    if memory is None:
+    if not cross:
         s2 = x2
         w_in = np.concatenate((wq.data, wk.data, wv.data), axis=1)
         qkv = x2 @ w_in
@@ -400,7 +444,7 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
     else:
         s2 = memory.data.reshape(-1, D)
         w_in = np.concatenate((wk.data, wv.data), axis=1)
-        q = x2 @ wq.data
+        q = x2 @ w_q
         q += bq.data
         kv = s2 @ w_in
         kv += np.concatenate((bk.data, bv.data))
@@ -420,14 +464,14 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
     ctx = np.empty((B, Tq, heads, d), dtype)
     np.matmul(p, vh, out=ctx.transpose(0, 2, 1, 3))
     ctx2 = ctx.reshape(-1, D)
-    out = _rows_at(ctx2, wo.data)
+    out = _rows_at(ctx2, w_o)
     out += bo.data
 
     def bw(g):
         g2 = g.reshape(-1, D)
         ones_q = np.ones(len(g2), dtype)
-        gh = split(g2 @ wo.data.T, Tq)
-        if memory is None:
+        gh = split(g2 @ w_o.T, Tq)
+        if not cross:
             g_in = np.empty((B, Tq, 3, heads, d), dtype)
             gq, g_kv = g_in[:, :, 0], g_in[:, :, 1:]
         else:
@@ -446,13 +490,13 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
         gb_in = np.ones(len(g_in), dtype) @ g_in
         tail = (gw_in[:, -2 * D:-D], gb_in[-2 * D:-D], gw_in[:, -D:], gb_in[-D:],
                 ctx2.T @ g2, ones_q @ g2)
-        g_src = (g_in @ w_in.T).reshape(source.shape)
-        if memory is None:
+        g_src = (g_in @ w_in.T).reshape(src_shape)
+        if not cross:
             return (g_src, gw_in[:, :D], gb_in[:D]) + tail
         gq = gq.reshape(-1, D)
-        return ((gq @ wq.data.T).reshape(x.shape), g_src, x2.T @ gq, ones_q @ gq) + tail
+        return ((gq @ w_q.T).reshape(x_shape), g_src, x2.T @ gq, ones_q @ gq) + tail
 
-    parents = (x,) if memory is None else (x, memory)
+    parents = (x, memory) if cross else (x,)
     parents += (wq, bq, wk, bk, wv, bv, wo, bo)
     return Tensor._op(out.reshape(B, Tq, D), parents, bw), p
 
@@ -473,15 +517,16 @@ def gated_unit(x1: Tensor, x2: Tensor, projections: Sequence[tuple]) -> tuple[Te
             or wz.shape != (d1 + d2, O)):
         raise ShapeError(f"gated_unit: inputs {x1.shape} and {x2.shape} do not match "
                          f"weights {w1.shape}, {w2.shape} and {wz.shape}")
+    shape1, shape2, wa, wb, wg = x1.shape, x2.shape, w1.data, w2.data, wz.data
     a1, a2 = x1.data.reshape(-1, d1), x2.data.reshape(-1, d2)
     xc = np.concatenate((a1, a2), axis=1)
-    h1 = _rows_at(a1, w1.data)
+    h1 = _rows_at(a1, wa)
     h1 += b1.data
     np.tanh(h1, out=h1)
-    h2 = _rows_at(a2, w2.data)
+    h2 = _rows_at(a2, wb)
     h2 += b2.data
     np.tanh(h2, out=h2)
-    s = _rows_at(xc, wz.data)
+    s = _rows_at(xc, wg)
     s += bz.data
     e = np.exp(-np.abs(s))
     z = np.where(s >= 0, 1.0, e) / (1.0 + e)
@@ -499,12 +544,12 @@ def gated_unit(x1: Tensor, x2: Tensor, projections: Sequence[tuple]) -> tuple[Te
         gs = g2 * (h1 - h2)
         gs *= z
         gs *= rest
-        gxc = gs @ wz.data.T
-        gx1 = g1 @ w1.data.T
+        gxc = gs @ wg.T
+        gx1 = g1 @ wa.T
         gx1 += gxc[:, :d1]
-        gx2 = gb @ w2.data.T
+        gx2 = gb @ wb.T
         gx2 += gxc[:, d1:]
-        return (gx1.reshape(x1.shape), gx2.reshape(x2.shape), a1.T @ g1, ones @ g1,
+        return (gx1.reshape(shape1), gx2.reshape(shape2), a1.T @ g1, ones @ g1,
                 a2.T @ gb, ones @ gb, xc.T @ gs, ones @ gs)
 
     lead = x1.shape[:-1]

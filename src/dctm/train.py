@@ -377,7 +377,6 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
 
     loss_curve, train_curve, val_curve = [], [], []
     best_epoch, best_val, best_val_score = -1, -np.inf, None
-    best_state = _state_of(model)
     for epoch in range(cfg.optim.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
         shuffled = [windows[i] for i in order]
@@ -391,10 +390,12 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
             if not np.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss {value} at epoch {epoch}, step {step}")
-            for _, param in params:
-                param.grad = None
             loss.backward()
             optimizer.step()
+            # the optimizer has gathered the gradients: free them before the
+            # next forward instead of holding them through its peak
+            for _, param in params:
+                param.grad = None
             losses.append(value)
             epoch_preds.append(pred.data)
             epoch_true.append(batch.labels)
@@ -409,6 +410,8 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
 
         if val_norm:
             overall, per_session, _ = score_sessions(model, val_norm, cfg)
+            if not np.isfinite(overall.ccc):
+                raise NumericalError(f"non-finite validation CCC {overall.ccc} at epoch {epoch}")
             val_curve.append(overall.ccc)
             if overall.ccc > best_val:
                 best_val, best_epoch = overall.ccc, epoch

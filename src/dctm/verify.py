@@ -85,11 +85,11 @@ def _grad_cases(rng):
     def residual_norm_case():
         x, gain, bias = layer_norm_arrays()
         y = rng.standard_normal(x.shape)
-        keep = None
+        drop = None
         if next(dropout_turn):
             # every other case drops a branch cell with probability 0.3
-            keep = (rng.random(x.shape) >= 0.3) / 0.7
-        return ([x, y, gain, bias], lambda ts: residual_norm(ts[0], ts[1], keep, ts[2], ts[3]))
+            drop = (rng.random(x.shape) >= 0.3, 1.0 / 0.7)
+        return ([x, y, gain, bias], lambda ts: residual_norm(ts[0], ts[1], drop, ts[2], ts[3]))
 
     def conv_case():
         B, ci, co = (int(v) for v in rng.integers(1, 4, size=3))

@@ -44,6 +44,20 @@ def test_restore_matches_by_name_and_shape(tmp_path, rng):
     np.testing.assert_array_equal(p.data, w)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_views_the_file_and_restore_makes_the_one_copy(tmp_path, rng, dtype):
+    w = rng.standard_normal((3, 2)).astype(np.float32)
+    save_checkpoint(tmp_path / "a.dctm", [("w", w)])
+    loaded = load_checkpoint(tmp_path / "a.dctm")
+    assert not loaded["w"].flags.writeable
+    p = Tensor(np.zeros((3, 2), dtype=dtype), requires_grad=True)
+    restore_into([("w", p)], loaded)
+    assert p.data.dtype == dtype and p.data.flags.writeable
+    assert not np.shares_memory(p.data, loaded["w"])
+    p.data += 1.0
+    np.testing.assert_array_equal(loaded["w"], w)
+
+
 def test_restore_shape_mismatch_names_tensor(tmp_path):
     save_checkpoint(tmp_path / "a.dctm", [("conv.weight", np.zeros((2, 2), dtype=np.float32))])
     p = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)

@@ -347,14 +347,17 @@ def test_residual_norm_matches_composed_dropout_add_norm(rng, dtype, training):
     x, y = (rng.standard_normal((B, T, D)).astype(dtype) for _ in range(2))
     gain, bias = (rng.standard_normal(D).astype(dtype) for _ in range(2))
     probe = rng.standard_normal((B, T, D))
-    keep = dropout_mask(Tensor(x), rate, np.random.default_rng(5), training)
-    assert (keep is None) == (not training)
+    drop = dropout_mask(Tensor(x), rate, np.random.default_rng(5), training)
+    assert (drop is None) == (not training)
 
     def composed(ts):
-        branch = ts[1] if keep is None else ts[1] * Tensor(keep.astype(ts[1].dtype))
-        return layer_norm(ts[0] + branch, ts[2], ts[3])
+        if drop is None:
+            return layer_norm(ts[0] + ts[1], ts[2], ts[3])
+        keep, scale = drop
+        multiplier = keep.astype(ts[1].dtype) * np.asarray(scale, ts[1].dtype)
+        return layer_norm(ts[0] + ts[1] * Tensor(multiplier), ts[2], ts[3])
 
-    out, grads = grads_of(lambda ts: residual_norm(ts[0], ts[1], keep, ts[2], ts[3]),
+    out, grads = grads_of(lambda ts: residual_norm(ts[0], ts[1], drop, ts[2], ts[3]),
                           [x, y, gain, bias], probe)
     assert_dtype(out, grads, dtype)
     # inverted dropout as a separate multiply, from the same draw: bit-identical
@@ -368,12 +371,25 @@ def test_residual_norm_matches_composed_dropout_add_norm(rng, dtype, training):
         assert_close(got, r, dtype)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_dropout_mask_is_a_byte_a_cell(dtype):
+    """The keep mask is bool, from the same draw as a float multiplier would
+    be, with the scale beside it in the tensor's dtype."""
+    shape, rate = (3, 5, 6), 0.3
+    keep, scale = dropout_mask(Tensor(np.zeros(shape, dtype)), rate,
+                               np.random.default_rng(5), True)
+    assert keep.dtype == np.bool_ and keep.itemsize == 1
+    assert np.array_equal(keep, np.random.default_rng(5).random(shape) >= rate)
+    assert scale.dtype == dtype
+    assert scale == np.asarray(1.0, dtype) / np.asarray(1.0 - rate, dtype)
+
+
 def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     norm = LayerNorm(4)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     out = norm(x, y, None)
-    assert out._parents == (x, y, norm.gain, norm.bias)
+    assert out._node.parents == (x, y, norm.gain, norm.bias)
     assert np.array_equal(out.data, norm(x + y).data)
 
 
@@ -421,7 +437,7 @@ def attention_op(self_attention):
 
 
 def residual_norm_op(dropout):
-    """``residual_norm`` without dropout, or with the ``KEEP`` mask of the inputs' dtype."""
+    """``residual_norm`` without dropout, or with the ``KEEP`` dropout of the inputs' dtype."""
     return lambda ts: residual_norm(ts[0], ts[1], KEEP[ts[0].dtype.type] if dropout else None,
                                     ts[2], ts[3])
 
@@ -450,14 +466,14 @@ def test_forward_and_backward_leave_inputs_unwritten(rng, name, dtype):
     op, shapes = NO_MUTATION[name]
     arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
     before = [a.tobytes() for a in arrays]
-    keep_before = KEEP[dtype].tobytes()
+    keep_before = KEEP[dtype][0].tobytes()
     ts = [Tensor(a, requires_grad=True) for a in arrays]
     result = op(ts)
     out, weights = result if isinstance(result, tuple) else (result, None)
     assert out.dtype == dtype
     (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
     assert [t.data.tobytes() for t in ts] == before
-    assert KEEP[dtype].tobytes() == keep_before
+    assert KEEP[dtype][0].tobytes() == keep_before
     if weights is not None:
         B, Tq = out.shape[:2]
         Tk = ts[1].shape[1] if ts[1].ndim == 3 else Tq
@@ -584,7 +600,7 @@ class TestCccLoss:
         pred, target, mask = self.draw(rng, dtype)
         p = Tensor(pred, requires_grad=True)
         loss = loss_fn(p, target, mask)
-        assert len(loss._parents) == 1 and loss._parents[0] is p
+        assert len(loss._node.parents) == 1 and loss._node.parents[0] is p
         (loss * 3.0).backward()
         assert p.grad.dtype == dtype
         [ref] = complex_step_grads(lambda z: numpy_ccc_loss(z[0], target, mask),

@@ -1,5 +1,7 @@
 """Assembled regressor: shapes, conv/fusion variants, introspection."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
 from dctm.optim import Adam
 from dctm.tensor import Tensor, _toposort
-from dctm.transformer import TransformerSettings
+from dctm.transformer import (DecoderLayer, EncoderLayer, FeedForward, MultiHeadAttention,
+                              TransformerSettings)
 
 DIMS = {"head": 5, "pose": 7, "voice": 4}
 
@@ -283,3 +286,45 @@ def test_default_training_step_records_65_op_nodes(rng, fusion):
     model = DctmModel(cfg, DIMS, rng)
     loss = ccc_loss(model(batch(rng, W=16), rng, training=True), rng.random((2, 16)))
     assert len(_toposort(loss)) == 65
+
+
+@pytest.mark.parametrize("fusion", ["sa", "gmu"])
+def test_branch_outputs_are_freed_at_the_forward_and_gradients_unchanged(fusion):
+    """The tape keeps nodes, not tensors: once the residual norm has read an
+    attention or feed-forward branch output, nothing references its array,
+    so it is freed inside its layer's forward rather than at backward().
+    Every parameter gradient is byte-identical to a pass that holds every
+    branch output alive until after backward()."""
+    cfg = small_cfg(fusion=FusionConfig(kind=fusion),
+                    transformer=TransformerSettings(hidden=16, heads=2, encoder_layers=1,
+                                                    decoder_layers=1, ff_dim=32, dropout=0.1))
+
+    def spying(real, before, after):
+        def call(self, *args, **kwargs):
+            before()
+            out = real(self, *args, **kwargs)
+            after(out)
+            return out
+        return call
+
+    grads = []
+    for hold in (True, False):
+        held, refs, dead_after_layer = [], [], []
+        keep = held.append if hold else (lambda out: refs.append(weakref.ref(out.data)))
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in (MultiHeadAttention, FeedForward):
+                mp.setattr(cls, "__call__", spying(cls.__call__, lambda: None, keep))
+            for cls in (EncoderLayer, DecoderLayer):
+                mp.setattr(cls, "__call__", spying(
+                    cls.__call__, refs.clear,
+                    lambda out: dead_after_layer.append([r() is None for r in refs])))
+            model = DctmModel(cfg, DIMS, np.random.default_rng(4))
+            scramble(model, np.random.default_rng(5))
+            rng = np.random.default_rng(6)
+            loss = ccc_loss(model(batch(rng), rng, training=True), rng.random((2, 20)))
+        loss.backward()
+        grads.append({name: p.grad.tobytes() for name, p in model.named_parameters()})
+        if not hold:
+            # encoder: attention and feed-forward; decoder: two attentions and feed-forward
+            assert dead_after_layer == [[True] * 2, [True] * 3]
+    assert grads[0] == grads[1]

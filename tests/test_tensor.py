@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.errors import ShapeError
 from dctm.gradcheck import check_gradients, scalarize
-from dctm.tensor import Tensor, _toposort, attention_block, cat, layer_norm, linear, no_grad
+from dctm.tensor import (Tensor, _Node, _toposort, attention_block, cat, layer_norm, linear,
+                         no_grad)
 
 
 def t64(a, requires_grad=False):
@@ -142,7 +143,7 @@ class TestBackward:
         x = t64([1.0], requires_grad=True)
         with no_grad():
             y = (x * x).sum()
-        assert y._backward is None
+        assert y._node is None
 
     def test_walk_visits_only_op_nodes(self):
         # leaves are left out of the order; their gradients still arrive
@@ -151,9 +152,9 @@ class TestBackward:
         h = (w * c).tanh()
         loss = (h * h + w).sum()
         order = _toposort(loss)
-        assert all(node._backward is not None for node in order)
-        assert order[-1] is loss and len(order) == 5
-        assert order.index(h) < len(order) - 1
+        assert all(isinstance(node, _Node) for node in order)
+        assert order[-1] is loss._node and len(order) == 5
+        assert order.index(h._node) < len(order) - 1
         loss.backward()
         expected = 2 * np.tanh([3.0, 8.0]) * (1 - np.tanh([3.0, 8.0]) ** 2) * [3.0, 4.0] + 1
         np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
@@ -169,12 +170,13 @@ class TestBackward:
         loss = (h * w).sum()
         inner = _toposort(loss)[:-1]
         nodes = [weakref.ref(n) for n in inner]
-        buffers = [weakref.ref(n.data) for n in inner]
-        assert len(nodes) == 3 and all(r() is not None for r in buffers)
+        saved = weakref.ref(h.data)   # tanh's output, which its backward reads
+        assert len(nodes) == 3 and saved() is not None
         del h, inner
+        assert saved() is not None
         loss.backward()
-        assert all(r() is None for r in nodes + buffers)
-        assert loss.grad is None and loss._parents == ()
+        assert all(r() is None for r in nodes + [saved])
+        assert loss.grad is None and loss._node.parents == ()
         t = np.tanh(w.data * c.data)
         np.testing.assert_allclose(w.grad, t + w.data * (1 - t * t) * c.data, rtol=1e-15)
 
@@ -198,7 +200,7 @@ class TestBackward:
         def hold_no_grad():
             with no_grad():
                 entered.set()
-                seen.append((t64([1.0], requires_grad=True) * 2.0)._backward)
+                seen.append((t64([1.0], requires_grad=True) * 2.0)._node)
                 leave.wait(timeout=10)
 
         worker = threading.Thread(target=hold_no_grad)
@@ -212,7 +214,7 @@ class TestBackward:
             worker.join(timeout=10)
         assert not worker.is_alive()
         assert seen == [None]
-        assert loss._backward is not None
+        assert loss._node is not None
         loss.backward()
         assert w.grad.tolist() == [2.0, 4.0]
 

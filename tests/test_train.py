@@ -90,6 +90,45 @@ class TestFit:
         with pytest.raises(NumericalError, match=r"epoch 0, step 0"):
             fit(tiny_cfg(), sessions[:4], [])
 
+    def test_non_finite_validation_ccc_aborts_at_its_epoch(self, monkeypatch):
+        # NaN > best is False, so a NaN validation CCC used to be skipped
+        # silently, and on the last epoch its weights were kept as the final ones
+        sessions = tiny_sessions()
+        real_forward, real_score = DctmModel.__call__, dctm.train.score_sessions
+        validations = []
+
+        def forward(self, features, rng, training=False):
+            out = real_forward(self, features, rng, training)
+            if not training and len(validations) == 2:
+                out.data[...] = np.nan
+            return out
+
+        def score(*args):
+            validations.append(args)
+            return real_score(*args)
+
+        monkeypatch.setattr(DctmModel, "__call__", forward)
+        monkeypatch.setattr(dctm.train, "score_sessions", score)
+        with pytest.raises(NumericalError, match=r"validation CCC nan at epoch 1"):
+            fit(tiny_cfg(epochs=3), sessions[:4], sessions[4:])
+        assert len(validations) == 2
+
+    def test_gradients_are_freed_before_the_next_forward(self, monkeypatch):
+        """fit drops every gradient once Adam has gathered it, so no forward
+        (training or validation) runs with the last step's gradients alive."""
+        sessions = tiny_sessions()
+        real = DctmModel.__call__
+        held = []
+
+        def recording(self, features, rng, training=False):
+            held.append([name for name, p in self.named_parameters() if p.grad is not None])
+            return real(self, features, rng, training)
+
+        monkeypatch.setattr(DctmModel, "__call__", recording)
+        result = fit(tiny_cfg(), sessions[:4], sessions[4:])
+        assert len(held) > 4 and held == [[]] * len(held)
+        assert all(p.grad is None for p in result.model.parameters())
+
     def test_curves_have_one_entry_per_epoch(self):
         sessions = tiny_sessions()
         result = fit(tiny_cfg(epochs=3), sessions[:4], sessions[4:])
@@ -394,7 +433,7 @@ class TestPredictSessionsPool:
         def recording(self, *args, **kwargs):
             out = real(self, *args, **kwargs)
             recorded.append((threading.current_thread() is threading.main_thread(),
-                             out._backward is None))
+                             out._node is None))
             return out
 
         monkeypatch.setattr(DctmModel, "__call__", recording)
