@@ -45,8 +45,7 @@ class GmuUnit(Module):
     h1 = tanh(W1 x1), h2 = tanh(W2 x2), z = sigmoid(Wz [x1; x2]);
     output z * h1 + (1 - z) * h2, a per-coordinate convex mix. One
     ``gated_unit`` node; the three ``Linear`` children hold its parameters.
-    ``last_gate`` keeps the most recent ``z`` for inspection, or None with
-    ``inspect`` off.
+    ``z`` goes to an open `capture`.
     """
 
     def __init__(self, d1: int, d2: int, out_dim: int, rng: np.random.Generator):
@@ -55,8 +54,6 @@ class GmuUnit(Module):
         self.transform1 = Linear(d1, out_dim, rng)
         self.transform2 = Linear(d2, out_dim, rng)
         self.gate = Linear(d1 + d2, out_dim, rng)
-        self.last_gate: np.ndarray | None = None
-        self.inspect = True
 
     def fuse(self, x1: Tensor, x2: Tensor, names=("first", "second")) -> Tensor:
         if x1.shape[-1] != self.d1:
@@ -65,7 +62,7 @@ class GmuUnit(Module):
             raise ShapeError(f"gmu input '{names[1]}' has dim {x2.shape[-1]}, expected {self.d2}")
         out, z = gated_unit(
             x1, x2, [(p.weight, p.bias) for p in (self.transform1, self.transform2, self.gate)])
-        self.last_gate = z if self.inspect else None
+        self.expose(z)
         return out
 
     __call__ = fuse
@@ -106,11 +103,12 @@ class GatedFusion(Module):
             label = f"{label}+{name}"
         return acc
 
-    def top_gate_toward_last(self) -> float:
-        """Mean weight the top unit assigns to the last-fused modality."""
+    def top_gate_toward_last(self, seen: dict) -> float:
+        """Mean weight the top unit assigns to the last-fused modality in
+        the forward that ``seen`` (a `capture`) recorded."""
         if len(self.units) == 0:
             return 1.0
-        z = self.units[len(self.units) - 1].last_gate
+        z = seen.get(self.units[len(self.units) - 1])
         if z is None:
-            raise RuntimeError("no forward pass recorded yet")
+            raise RuntimeError("the capture recorded no forward pass through this fusion")
         return float(np.mean(1.0 - z))

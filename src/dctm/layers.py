@@ -2,9 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 
 from .tensor import Tensor, layer_norm, linear, residual_norm, xavier_uniform, zeros, ones
+
+
+_capture = threading.local()
+
+
+@contextlib.contextmanager
+def capture():
+    """{module: array} of what modules `expose` (attention weights, GMU
+    gates) in forwards on this thread inside the block. Forwards outside
+    one keep none, and free them with their other buffers."""
+    outer = getattr(_capture, "seen", None)
+    _capture.seen = seen = {}
+    try:
+        yield seen
+    finally:
+        _capture.seen = outer
 
 
 class Module:
@@ -34,11 +53,11 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def modules(self):
-        """This module and every submodule, depth first."""
-        yield self
-        for child in self._children.values():
-            yield from child.modules()
+    def expose(self, array: np.ndarray) -> None:
+        """Hand ``array`` to this thread's open `capture`, if there is one."""
+        seen = getattr(_capture, "seen", None)
+        if seen is not None:
+            seen[self] = array
 
     def zero_grad(self):
         for p in self.parameters():

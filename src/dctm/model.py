@@ -7,17 +7,17 @@ is a (B, W) score matrix in (0, 1).
 
 from __future__ import annotations
 
-import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DctmConfig
 from .conv import ConvLayerSpec, ConvStack, receptive_field
 from .errors import ConfigError, ShapeError
-from .fusion import ConcatFusion, GatedFusion, GmuUnit
-from .layers import Module
-from .tensor import Tensor
-from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead
+from .fusion import ConcatFusion, GatedFusion
+from .layers import Module, capture
+from .tensor import Tensor, no_grad
+from .transformer import EncoderDecoder, RegressionHead
 
 
 def conv_specs(cfg: DctmConfig, in_channels: int) -> list[ConvLayerSpec]:
@@ -29,6 +29,17 @@ def conv_specs(cfg: DctmConfig, in_channels: int) -> list[ConvLayerSpec]:
         specs.append(ConvLayerSpec(c_in, cfg.conv.channels, k, d))
         c_in = cfg.conv.channels
     return specs
+
+
+@dataclass
+class Inspection:
+    """An evaluation forward's scores, its (B, H, T_q, T_k) attention
+    weights by role in layer order, its GMU gates ``z`` in fusion order,
+    and the top gate's mean weight on the last modality (None for sa)."""
+    scores: np.ndarray
+    attention: dict[str, list[np.ndarray]]
+    gates: list[np.ndarray]
+    gate_toward_last_modality: float | None
 
 
 class DctmModel(Module):
@@ -101,25 +112,16 @@ class DctmModel(Module):
         first = self.stacks[self.modalities[0]]
         return receptive_field([layer.spec for layer in first.layers])
 
-    def gate_toward_last_modality(self) -> float | None:
-        """GMU top-level gate weight on the last modality; None for sa fusion."""
-        if isinstance(self.fusion, GatedFusion):
-            return self.fusion.top_gate_toward_last()
-        return None
-
-    def attention_maps(self):
-        return self.core.attention_maps()
-
-    @contextlib.contextmanager
-    def uninspected(self):
-        """Forwards inside the block keep no attention weights or gates:
-        ``last_attn`` and ``last_gate`` read None, and each forward frees
-        them with its other buffers instead of holding them until the next."""
-        holders = [m for m in self.modules() if isinstance(m, (MultiHeadAttention, GmuUnit))]
-        for m in holders:
-            m.inspect = False
-        try:
-            yield
-        finally:
-            for m in holders:
-                m.inspect = True
+    def inspect(self, features: dict[str, np.ndarray]) -> Inspection:
+        """Score ``features`` on the calling thread, without dropout or a
+        graph, and return what the forward exposed. Other forwards keep
+        none of it."""
+        with no_grad(), capture() as seen:
+            scores = self(features, None).data
+        attention = {"encoder_self": [seen[layer.attn] for layer in self.core.encoder],
+                     "decoder_self": [seen[layer.self_attn] for layer in self.core.decoder],
+                     "decoder_cross": [seen[layer.cross_attn] for layer in self.core.decoder]}
+        if not isinstance(self.fusion, GatedFusion):
+            return Inspection(scores, attention, [], None)
+        return Inspection(scores, attention, [seen[unit] for unit in self.fusion.units],
+                          self.fusion.top_gate_toward_last(seen))

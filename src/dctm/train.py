@@ -18,6 +18,7 @@ import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -40,6 +41,7 @@ from .data import (
     normalize,
     overlap_average,
     read_json,
+    window_starts,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import CccResult, ccc, ccc_loss
@@ -167,15 +169,16 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # inference over sessions
 
-# Windows per scoring job. Each worker thread allocates from its own malloc
-# arena, so larger jobs raise peak memory (32 windows: +40 MiB at the
-# default architecture) and score no faster.
-JOB_WINDOWS = 8
+# Most windows per scoring job. Each worker thread allocates from its own
+# malloc arena, so larger jobs raise peak memory: at the default
+# architecture on 2 CPUs an evaluate-only process peaked at 62.7 MiB with
+# 8 windows and 67.1 with 12, which scored 5% faster (16: 72 MiB, no faster).
+JOB_WINDOWS = 12
 # Activation cells per job (JOB_WINDOWS x window x hidden) below which a
 # forward is bound by Python overhead under the interpreter lock, so a pool
-# scores slower than one thread. On 2 CPUs at window 64, a pool took 1.40x
-# the one-thread time at hidden 16, 1.21x at 32 and 0.96x at 64.
-MIN_POOLED_CELLS = 32768
+# scores slower than one thread. On 2 CPUs at window 64 (8-window jobs), a
+# pool took 1.40x the one-thread time at hidden 16, 1.21x at 32, 0.96x at 64.
+MIN_POOLED_CELLS = 12 * 64 * 64
 
 
 @functools.cache
@@ -243,35 +246,31 @@ def _scoring_pool(workers: int):
         set_threads(previous)
 
 
-def _window_jobs(sessions: list[Session], cfg: DctmConfig):
-    """(session index, window) jobs of JOB_WINDOWS, windowing one session
-    at a time as the jobs are drawn."""
-    job = []
-    for i, session in enumerate(sessions):
-        for window in make_windows(session, cfg.data.window, cfg.data.stride):
-            job.append((i, window))
-            if len(job) == JOB_WINDOWS:
-                yield job
-                job = []
-    if job:
-        yield job
+def _job_sizes(windows: int, workers: int) -> list[int]:
+    """Window counts of the scoring jobs: as few rounds of one job per worker
+    as hold JOB_WINDOWS a job, sizes within 1 of each other (some 0 if there
+    are fewer windows than workers), so every worker scores to the end."""
+    jobs = workers * max(1, -(-windows // (workers * JOB_WINDOWS)))
+    size, larger = divmod(windows, jobs)
+    return [size + 1] * larger + [size] * (jobs - larger)
+
+
+def _window_jobs(sessions: list[Session], window: int, stride: int, workers: int):
+    """The (session index, window) jobs of `_job_sizes`, in session and
+    window order, windowing one session at a time as the jobs are drawn."""
+    count = sum(len(window_starts(s.num_frames, window, stride)) for s in sessions)
+    windows = ((i, w) for i, s in enumerate(sessions) for w in make_windows(s, window, stride))
+    return (list(itertools.islice(windows, n)) for n in _job_sizes(count, workers) if n)
 
 
 def predict_sessions(model: DctmModel, sessions: list[Session],
                      cfg: DctmConfig) -> dict[str, np.ndarray]:
     """Per-frame scores for already-normalized sessions, keyed by session.key.
 
-    Jobs of JOB_WINDOWS windows run on every usable CPU (see
-    `_scoring_workers` and `_scoring_pool`). A window scores
+    Every job of `_window_jobs` runs on the `_scoring_pool`. A window scores
     bit-identically at any batch row and batch size, so the result equals
-    serial scoring. The final job runs on the calling thread after the
-    others, so the model's `last_attn` and `last_gate` hold its arrays.
-    The jobs before it run `uninspected`: a job's attention weights (1 MiB
-    per block for 8 windows at the default architecture) would otherwise
-    stay alive in its worker's malloc arena until another job replaced
-    them, which took the two arenas of a 2-CPU pool from about 5 to about
-    18 MB each.
-    """
+    serial scoring. No job keeps attention weights or gates (see
+    `DctmModel.inspect`)."""
     preds = [[] for _ in sessions]
 
     def score(job):
@@ -286,19 +285,13 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
 
     with _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
         pending = collections.deque()
-        jobs = _window_jobs(sessions, cfg)
-        job = next(jobs, None)
-        with model.uninspected():
-            for following in jobs:
-                pending.append(pool.submit(score, job))
-                # windows are built at most two jobs per worker ahead of scoring
-                if len(pending) > 2 * workers:
-                    collect(pending.popleft().result())
-                job = following
-            while pending:
+        for job in _window_jobs(sessions, cfg.data.window, cfg.data.stride, workers):
+            pending.append(pool.submit(score, job))
+            # windows are built at most two jobs per worker ahead of scoring
+            if len(pending) > 2 * workers:
                 collect(pending.popleft().result())
-        if job is not None:
-            collect(score(job))
+        while pending:
+            collect(pending.popleft().result())
     return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}
 
 
@@ -420,16 +413,19 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
             say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
                 f"train_ccc {train_ccc:+.4f}  val_ccc {overall.ccc:+.4f}")
         else:
-            best_epoch = epoch
-            best_state = _state_of(model)
             say(f"epoch {epoch + 1}/{cfg.optim.epochs}  loss {loss_curve[-1]:.4f}  "
                 f"train_ccc {train_ccc:+.4f}")
+
+    if not val_norm:
+        best_epoch, best_state = cfg.optim.epochs - 1, _state_of(model)
+    # the final weights share the best ones' copy when the last epoch is the best
+    last_state = best_state if best_epoch == cfg.optim.epochs - 1 else _state_of(model)
 
     return FitResult(
         model=model, stats=stats, feature_dims=feature_dims,
         loss_curve=loss_curve, train_ccc_curve=train_curve,
         val_ccc_curve=val_curve, best_epoch=best_epoch,
-        best_state=best_state, last_state=_state_of(model),
+        best_state=best_state, last_state=last_state,
         best_val_score=best_val_score, wall_time_s=time.perf_counter() - t0,
         warnings=warnings)
 

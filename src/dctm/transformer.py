@@ -57,10 +57,8 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``heads`` parallel subspaces.
 
     The whole block is one ``attention_block`` node; the four ``Linear``
-    children only hold its parameters. ``last_attn`` keeps the most recent
-    (B, H, T_q, T_k) weight array for inspection; it references the forward
-    buffer, no extra copy is made. With ``inspect`` off it is None, and the
-    buffer is freed with the forward's others.
+    children only hold its parameters. Its (B, H, T_q, T_k) weights go to
+    an open `capture` (a view of the forward buffer, not a copy).
     """
 
     def __init__(self, hidden: int, heads: int, rng: np.random.Generator):
@@ -75,14 +73,12 @@ class MultiHeadAttention(Module):
         # the residual stream, which keeps the post-norm stack trainable at
         # learning rates around 1e-3 (random init collapses to a constant).
         self.wo = Linear(hidden, hidden, rng, zero_init=True)
-        self.last_attn: np.ndarray | None = None
-        self.inspect = True
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
         out, attn = attention_block(
             x, memory, [(p.weight, p.bias) for p in (self.wq, self.wk, self.wv, self.wo)],
             self.heads)
-        self.last_attn = attn if self.inspect else None
+        self.expose(attn)
         return out
 
 
@@ -155,17 +151,6 @@ class EncoderDecoder(Module):
         for layer in self.decoder:
             x = layer(x, memory, rng, training)
         return x
-
-    def attention_maps(self) -> dict[str, list[np.ndarray]]:
-        """Attention weights from the most recent forward pass, grouped by role."""
-        return {
-            "encoder_self": [l.attn.last_attn for l in self.encoder
-                             if l.attn.last_attn is not None],
-            "decoder_self": [l.self_attn.last_attn for l in self.decoder
-                             if l.self_attn.last_attn is not None],
-            "decoder_cross": [l.cross_attn.last_attn for l in self.decoder
-                              if l.cross_attn.last_attn is not None],
-        }
 
 
 class RegressionHead(Module):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
 from .gradcheck import check_gradients, scalarize
+from .layers import capture
 from .metrics import ccc, ccc_loss
 from .reference import attention_single_head_loop, ccc_two_pass, conv1d_direct, conv1d_flip
 from .tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
@@ -310,16 +311,12 @@ def check_attention_rows(seed: int = 0) -> CheckResult:
         _fill_zero_weights(core, rng)
         _fill_zero_weights(head, rng)
         x = Tensor(rng.standard_normal((2, 64, cfg.hidden)).astype(np.float32))
-        scores = head(core(x, rng)).data
+        with capture() as seen:
+            scores = head(core(x, rng)).data
         assert scores.shape == (2, 64), f"scores shaped {scores.shape}"
         assert scores.min() > 0.0 and scores.max() < 1.0, "scores left (0, 1)"
-        worst = 0.0
-        maps = core.attention_maps()
-        count = 0
-        for group in maps.values():
-            for m in group:
-                worst = max(worst, float(np.abs(m.sum(axis=-1) - 1.0).max()))
-                count += 1
+        worst = max(float(np.abs(m.sum(axis=-1) - 1.0).max()) for m in seen.values())
+        count = len(seen)
         assert count == cfg.encoder_layers + 2 * cfg.decoder_layers, \
             f"expected attention maps from every layer, got {count}"
         assert worst <= 1e-6, f"attention row sums off by {worst:.2e}"

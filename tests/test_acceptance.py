@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import dctm.fusion
 from dctm.ablate import magnitude_table, run_ablation
 from dctm.checkpoint import load_checkpoint, save_checkpoint
 from dctm.config import ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig
@@ -160,10 +161,11 @@ def test_criterion_05_shapes_and_attention_rows():
     rng = np.random.default_rng(1)
     feats = {m: rng.standard_normal((2, d, 64)).astype(np.float32)
              for m, d in (("head", 8), ("pose", 12), ("voice", 10))}
-    scores = model(feats, rng).data
+    seen = model.inspect(feats)
+    scores = seen.scores
     shape_ok = scores.shape == (2, 64)
     range_ok = bool(scores.min() > 0.0 and scores.max() < 1.0)
-    maps = model.attention_maps()
+    maps = seen.attention
     count = sum(len(g) for g in maps.values())
     worst = max(float(np.abs(m.sum(axis=-1) - 1.0).max())
                 for g in maps.values() for m in g)
@@ -227,20 +229,30 @@ def test_criterion_07_synthetic_learnability(voice_data):
 
 
 @pytest.mark.slow
-def test_criterion_08_gmu_gate_sanity(voice_data):
+def test_criterion_08_gmu_gate_sanity(voice_data, monkeypatch):
     train, val, _ = voice_data
-    gates = []
+    # the gate helper must read mean(1 - z) of the z the top unit's forward returns
+    real_gated_unit, returned = dctm.fusion.gated_unit, []
+
+    def recording(*args):
+        out, z = real_gated_unit(*args)
+        returned.append(z)
+        return out, z
+
+    gates, exact = [], True
     for seed in (0, 1, 2):
         result = fit(learn_cfg("gmu", seed), train, val)
-        # run a fresh forward so the recorded gate reflects trained weights
+        # a fresh evaluation forward, so the gate reflects trained weights
         stats = compute_norm_stats(train)
         probe = apply_norm_stats(val[0], stats)
         batch = batch_windows(make_windows(probe, 64, 32), batch_size=32)[0]
-        with no_grad():
-            result.model(batch.features, np.random.default_rng(0))
-        gates.append(result.model.gate_toward_last_modality())
+        with monkeypatch.context() as patch:
+            patch.setattr(dctm.fusion, "gated_unit", recording)
+            gate = result.model.inspect(batch.features).gate_toward_last_modality
+        exact &= gate == float(np.mean(1.0 - returned[-1]))
+        gates.append(gate)
     passing = sum(1 for g in gates if g > 0.5)
-    ok = passing >= 2
+    ok = passing >= 2 and exact
     _verdict(8, "gated fusion on voice-only data: mean top gate toward voice "
                 "> 0.5 for 2 of 3 seeds",
              ok, ", ".join(f"{g:.4f}" for g in gates))

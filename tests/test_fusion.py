@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.errors import ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion, GmuUnit
+from dctm.layers import capture
 from dctm.tensor import Tensor
 
 
@@ -44,20 +45,22 @@ class TestGmuUnit:
         gmu.gate.bias.data = np.full(4, 20.0, dtype=np.float32)
         x1 = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32))
         x2 = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32))
-        out = gmu.fuse(x1, x2, ("a", "b")).data
+        with capture() as seen:
+            out = gmu.fuse(x1, x2, ("a", "b")).data
         h1 = np.tanh(x1.data @ gmu.transform1.weight.data + gmu.transform1.bias.data)
         np.testing.assert_allclose(out, h1, atol=1e-6)
-        assert gmu.last_gate.min() > 0.999
+        assert seen[gmu].min() > 0.999
 
     def test_saturated_gate_picks_second_input(self, rng):
         gmu = GmuUnit(3, 3, 4, rng)
         gmu.gate.bias.data = np.full(4, -20.0, dtype=np.float32)
         x1 = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32))
         x2 = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32))
-        out = gmu.fuse(x1, x2, ("a", "b")).data
+        with capture() as seen:
+            out = gmu.fuse(x1, x2, ("a", "b")).data
         h2 = np.tanh(x2.data @ gmu.transform2.weight.data + gmu.transform2.bias.data)
         np.testing.assert_allclose(out, h2, atol=1e-6)
-        assert gmu.last_gate.max() < 0.001
+        assert seen[gmu].max() < 0.001
 
     def test_hand_case_midpoint_gate(self):
         # 1-d unit with identity paths and zero gate weights: z = 1/2,
@@ -72,10 +75,11 @@ class TestGmuUnit:
         gmu.gate.bias.data = np.zeros(1, dtype=np.float32)
         x1 = Tensor(np.full((1, 1, 1), 3.0, dtype=np.float32))
         x2 = Tensor(np.full((1, 1, 1), -3.0, dtype=np.float32))
-        out = gmu.fuse(x1, x2, ("a", "b")).item()
+        with capture() as seen:
+            out = gmu.fuse(x1, x2, ("a", "b")).item()
         want = 0.5 * (np.tanh(3.0) + np.tanh(-3.0))
         assert out == pytest.approx(want, abs=1e-6)
-        assert gmu.last_gate[0, 0, 0] == pytest.approx(0.5, abs=1e-7)
+        assert seen[gmu][0, 0, 0] == pytest.approx(0.5, abs=1e-7)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -124,13 +128,18 @@ class TestGatedFusion:
         fuse = GatedFusion([4, 4, 4], hidden=8, rng=rng)
         fuse.units[1].gate.bias.data = np.full(8, -20.0, dtype=np.float32)
         streams = [stream(rng, 1, 4, 6) for _ in range(3)]
-        fuse(streams, ["head", "pose", "voice"])
-        assert fuse.top_gate_toward_last() > 0.999
+        with capture() as seen:
+            fuse(streams, ["head", "pose", "voice"])
+        assert list(seen) == list(fuse.units)
+        assert fuse.top_gate_toward_last(seen) > 0.999
 
     def test_gate_stats_require_forward(self, rng):
         fuse = GatedFusion([4, 4], hidden=8, rng=rng)
+        fuse([stream(rng, 1, 4, 6) for _ in range(2)], ["a", "b"])
+        with capture() as seen:
+            pass
         with pytest.raises(RuntimeError, match="forward"):
-            fuse.top_gate_toward_last()
+            fuse.top_gate_toward_last(seen)
 
     def test_gradients_reach_all_parameters(self, rng):
         fuse = GatedFusion([3, 3], hidden=4, rng=rng)

@@ -1,18 +1,22 @@
 """Assembled regressor: shapes, conv/fusion variants, introspection."""
 
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 import dctm.conv
+import dctm.fusion
+import dctm.transformer
 from dctm.config import ConvConfig, DctmConfig, DataConfig, FusionConfig
 from dctm.errors import ConfigError, ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion
+from dctm.layers import capture
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
 from dctm.optim import Adam
-from dctm.tensor import Tensor, _toposort
+from dctm.tensor import Tensor, _toposort, no_grad
 from dctm.transformer import (DecoderLayer, EncoderLayer, FeedForward, MultiHeadAttention,
                               TransformerSettings)
 
@@ -141,19 +145,20 @@ class TestIntrospection:
     def test_gate_none_for_concat_fusion(self, rng):
         model = DctmModel(small_cfg(), DIMS, rng)
         assert isinstance(model.fusion, ConcatFusion)
-        assert model.gate_toward_last_modality() is None
+        seen = model.inspect(batch(rng))
+        assert seen.gate_toward_last_modality is None and seen.gates == []
 
     def test_gate_in_unit_interval_after_forward(self, rng):
         cfg = small_cfg(fusion=FusionConfig(kind="gmu"))
         model = DctmModel(cfg, DIMS, rng)
-        model(batch(rng), rng)
-        gate = model.gate_toward_last_modality()
+        seen = model.inspect(batch(rng))
+        gate = seen.gate_toward_last_modality
         assert gate is not None and 0.0 <= gate <= 1.0
+        assert [z.shape for z in seen.gates] == [(2, 20, 16)] * 2
 
     def test_attention_maps_after_forward(self, rng):
         model = DctmModel(small_cfg(), DIMS, rng)
-        model(batch(rng), rng)
-        maps = model.attention_maps()
+        maps = model.inspect(batch(rng)).attention
         assert len(maps["encoder_self"]) == 1
         assert len(maps["decoder_self"]) == 1
         assert len(maps["decoder_cross"]) == 1
@@ -162,24 +167,56 @@ class TestIntrospection:
                 assert m.shape == (2, 2, 20, 20)
                 np.testing.assert_allclose(m.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_uninspected_forward_keeps_no_maps_or_gates(self, rng):
-        model = DctmModel(small_cfg(fusion=FusionConfig(kind="gmu")), DIMS, rng)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_inspect_returns_what_the_blocks_return(self, rng, monkeypatch, precision):
+        # the maps are the arrays attention_block returns, and the gate helper
+        # reads the top unit's z as mean(1 - z), bit for bit
+        model = DctmModel(small_cfg(fusion=FusionConfig(kind="gmu"), precision=precision),
+                          DIMS, rng)
         scramble(model, rng)
         x = batch(rng)
-        kept = model(x, rng).data
-        with model.uninspected():
-            dropped = model(x, rng).data
-            assert model.attention_maps() == {"encoder_self": [], "decoder_self": [],
-                                              "decoder_cross": []}
-            with pytest.raises(RuntimeError, match="no forward pass"):
-                model.gate_toward_last_modality()
-        np.testing.assert_array_equal(dropped, kept)
-        # leaving the block, even by an error, turns inspection back on
-        with pytest.raises(ValueError), model.uninspected():
-            raise ValueError
-        model(x, rng)
-        assert all(len(group) == 1 for group in model.attention_maps().values())
-        assert model.gate_toward_last_modality() is not None
+        with no_grad():
+            plain = model(x, None).data
+        returned = []
+
+        def recording(fn):
+            def wrapper(*args):
+                out, weights = fn(*args)
+                returned.append(weights)
+                return out, weights
+            return wrapper
+
+        monkeypatch.setattr(dctm.transformer, "attention_block",
+                            recording(dctm.transformer.attention_block))
+        monkeypatch.setattr(dctm.fusion, "gated_unit", recording(dctm.fusion.gated_unit))
+        seen = model.inspect(x)
+        assert seen.scores.tobytes() == plain.tobytes()
+        gates, maps = returned[:2], returned[2:]
+        assert all(a is b for a, b in zip(seen.gates, gates)) and len(seen.gates) == 2
+        assert [len(g) for g in seen.attention.values()] == [1, 1, 1]
+        assert all(a is b for a, b in zip(
+            seen.attention["encoder_self"] + seen.attention["decoder_self"]
+            + seen.attention["decoder_cross"], [maps[0], maps[1], maps[2]]))
+        assert seen.gate_toward_last_modality == float(np.mean(1.0 - gates[-1]))
+
+    def test_inspect_restores_grad_mode_and_the_outer_capture(self, rng):
+        model = DctmModel(small_cfg(fusion=FusionConfig(kind="gmu")), DIMS, rng)
+        x = batch(rng)
+        with capture() as outer:
+            with pytest.raises(ShapeError):
+                model.inspect({"head": x["head"]})
+            model.inspect(x)
+            assert outer == {}
+            out = model(x, None)
+        assert out._node is not None
+        assert len(outer) == 2 + 3  # gates and attention maps of the plain forward
+        # a capture sees only its own thread's forwards
+        recorded = []
+        worker = threading.Thread(target=lambda: recorded.append(model.inspect(x).gates))
+        with capture() as seen:
+            worker.start()
+            worker.join()
+        assert seen == {} and len(recorded[0]) == 2
 
 
 class TestParameters:

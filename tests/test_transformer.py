@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dctm.errors import ConfigError, ShapeError
+from dctm.layers import capture
 from dctm.reference import attention_single_head_loop
 from dctm.tensor import Tensor
 from dctm.transformer import (
@@ -77,14 +78,16 @@ class TestMultiHeadAttention:
         mha.wq.weight.data[:] = 0.0
         mha.wq.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
-        mha(x)
-        np.testing.assert_allclose(mha.last_attn, 1.0 / 5.0, atol=1e-7)
+        with capture() as seen:
+            mha(x)
+        np.testing.assert_allclose(seen[mha], 1.0 / 5.0, atol=1e-7)
 
     def test_rows_sum_to_one(self, rng):
         mha = MultiHeadAttention(16, 4, rng)
         x = Tensor(rng.standard_normal((2, 7, 16)).astype(np.float32))
-        mha(x)
-        np.testing.assert_allclose(mha.last_attn.sum(axis=-1), 1.0, atol=1e-6)
+        with capture() as seen:
+            mha(x)
+        np.testing.assert_allclose(seen[mha].sum(axis=-1), 1.0, atol=1e-6)
 
     def test_matches_per_head_loop(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
@@ -109,8 +112,21 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
         mem = Tensor(rng.standard_normal((2, 9, 8)).astype(np.float32))
-        assert mha(x, memory=mem).shape == (2, 3, 8)
-        assert mha.last_attn.shape == (2, 2, 3, 9)
+        with capture() as seen:
+            assert mha(x, memory=mem).shape == (2, 3, 8)
+        assert seen[mha].shape == (2, 2, 3, 9)
+
+    def test_exposes_nothing_outside_a_capture(self, rng):
+        mha = MultiHeadAttention(8, 2, rng)
+        x = Tensor(rng.standard_normal((1, 4, 8)).astype(np.float32))
+        with capture() as seen:
+            with capture() as inner:
+                mha(x)
+            mha(x)
+        mha(x)
+        assert list(inner) == [mha] and list(seen) == [mha]
+        assert seen[mha] is not inner[mha]
+        assert vars(mha).keys() == {"_params", "_children", "heads", "wq", "wk", "wv", "wo"}
 
 
 def _scramble_zero_weights(module, rng):
@@ -153,16 +169,16 @@ class TestEncoderDecoder:
         shuffled = model(Tensor(x[:, perm]), rng).data
         assert np.abs(shuffled - base[:, perm]).max() > 1e-4
 
-    def test_attention_maps_exposed(self, rng):
+    def test_every_block_exposes_its_attention(self, rng):
         model = EncoderDecoder(small_settings(), rng)
         x = Tensor(rng.standard_normal((1, 5, 16)).astype(np.float32))
-        model(x, rng)
-        maps = model.attention_maps()
+        with capture() as seen:
+            model(x, rng)
         # 2 encoder self + 2 decoder self + 2 decoder cross
-        assert len(maps["encoder_self"]) == 2
-        assert len(maps["decoder_self"]) == 2
-        assert len(maps["decoder_cross"]) == 2
-        for m in maps["encoder_self"] + maps["decoder_self"] + maps["decoder_cross"]:
+        blocks = ([layer.attn for layer in model.encoder]
+                  + [a for layer in model.decoder for a in (layer.self_attn, layer.cross_attn)])
+        assert list(seen) == blocks
+        for m in seen.values():
             np.testing.assert_allclose(m.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_wrong_feature_dim_raises(self, rng):
