@@ -18,7 +18,6 @@ import collections
 import contextlib
 import ctypes
 import functools
-import itertools
 import json
 import os
 import subprocess
@@ -41,7 +40,6 @@ from .data import (
     normalize,
     overlap_average,
     read_json,
-    window_starts,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import CccResult, ccc, ccc_loss
@@ -169,16 +167,16 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # inference over sessions
 
-# Most windows per scoring job. Each worker thread allocates from its own
-# malloc arena, so larger jobs raise peak memory: at the default
-# architecture on 2 CPUs an evaluate-only process peaked at 62.7 MiB with
-# 8 windows and 67.1 with 12, which scored 5% faster (16: 72 MiB, no faster).
-JOB_WINDOWS = 12
-# Activation cells per job (JOB_WINDOWS x window x hidden) below which a
-# forward is bound by Python overhead under the interpreter lock, so a pool
-# scores slower than one thread. On 2 CPUs at window 64 (8-window jobs), a
-# pool took 1.40x the one-thread time at hidden 16, 1.21x at 32, 0.96x at 64.
-MIN_POOLED_CELLS = 12 * 64 * 64
+# Windows per scoring job. Each worker thread allocates from its own malloc
+# arena, so larger jobs raise peak memory: at the default architecture on 2
+# CPUs an evaluate-only process peaked at 62.7 MiB with 8 and 67.1 with 12
+# (32: +40 MiB), and 12 scored faster in only 8 of 10 benchmark pairs.
+JOB_WINDOWS = 8
+# Activation cells per window (window x hidden) below which a forward is
+# bound by Python overhead under the interpreter lock, so a pool scores
+# slower than one thread. On 2 CPUs at window 64 with 8-window jobs, a pool
+# took 1.40x the one-thread time at hidden 16, 1.21x at 32 and 0.96x at 64.
+MIN_POOLED_WINDOW_CELLS = 64 * 64
 
 
 @functools.cache
@@ -209,9 +207,9 @@ def _openblas():
 
 
 def _scoring_workers(cfg: DctmConfig) -> int:
-    """One per usable CPU, or 1 where jobs are too small to gain from threads."""
-    cells = JOB_WINDOWS * cfg.data.window * cfg.transformer.hidden
-    if cells < MIN_POOLED_CELLS or not hasattr(os, "sched_getaffinity"):
+    """One per usable CPU, or 1 where windows are too small to gain from threads."""
+    cells = cfg.data.window * cfg.transformer.hidden
+    if cells < MIN_POOLED_WINDOW_CELLS or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -246,21 +244,18 @@ def _scoring_pool(workers: int):
         set_threads(previous)
 
 
-def _job_sizes(windows: int, workers: int) -> list[int]:
-    """Window counts of the scoring jobs: as few rounds of one job per worker
-    as hold JOB_WINDOWS a job, sizes within 1 of each other (some 0 if there
-    are fewer windows than workers), so every worker scores to the end."""
-    jobs = workers * max(1, -(-windows // (workers * JOB_WINDOWS)))
-    size, larger = divmod(windows, jobs)
-    return [size + 1] * larger + [size] * (jobs - larger)
-
-
-def _window_jobs(sessions: list[Session], window: int, stride: int, workers: int):
-    """The (session index, window) jobs of `_job_sizes`, in session and
-    window order, windowing one session at a time as the jobs are drawn."""
-    count = sum(len(window_starts(s.num_frames, window, stride)) for s in sessions)
-    windows = ((i, w) for i, s in enumerate(sessions) for w in make_windows(s, window, stride))
-    return (list(itertools.islice(windows, n)) for n in _job_sizes(count, workers) if n)
+def _window_jobs(sessions: list[Session], cfg: DctmConfig):
+    """(session index, window) jobs of JOB_WINDOWS, windowing one session
+    at a time as the jobs are drawn."""
+    job = []
+    for i, session in enumerate(sessions):
+        for window in make_windows(session, cfg.data.window, cfg.data.stride):
+            job.append((i, window))
+            if len(job) == JOB_WINDOWS:
+                yield job
+                job = []
+    if job:
+        yield job
 
 
 def predict_sessions(model: DctmModel, sessions: list[Session],
@@ -285,7 +280,7 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
 
     with _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
         pending = collections.deque()
-        for job in _window_jobs(sessions, cfg.data.window, cfg.data.stride, workers):
+        for job in _window_jobs(sessions, cfg):
             pending.append(pool.submit(score, job))
             # windows are built at most two jobs per worker ahead of scoring
             if len(pending) > 2 * workers:

@@ -454,11 +454,10 @@ class TestPredictSessionsPool:
         assert list(got) == [s.key for s in sessions]
         for key, scores in expected.items():
             assert got[key].tobytes() == scores.tobytes(), key
-        # even rounds of one job per worker, at most JOB_WINDOWS windows a job,
-        # all on the pool: none on the calling thread when pooled
+        # one forward a job of JOB_WINDOWS, every job on the pool:
+        # none on the calling thread when pooled
         pooled = workers > 1 and dctm.train._openblas() is not None
-        per_round = workers if pooled else 1
-        assert len(forward_threads) == per_round * -(-len(windows) // (per_round * JOB_WINDOWS))
+        assert len(forward_threads) == -(-len(windows) // JOB_WINDOWS)
         main = threading.current_thread().name
         assert (main not in forward_threads) if pooled else set(forward_threads) == {main}
         assert arrays_held(model) == []
@@ -547,22 +546,18 @@ def _session_of(key: int, frames: int) -> Session:
 
 class TestScoringJobs:
     @settings(max_examples=150, deadline=None)
-    @given(windows=st.integers(1, 200), workers=st.integers(1, 4),
-           cuts=st.lists(st.integers(1, 199), max_size=3))
-    def test_jobs_deal_every_window_once_in_even_rounds(self, windows, workers, cuts):
+    @given(windows=st.integers(1, 200), cuts=st.lists(st.integers(1, 199), max_size=3))
+    def test_jobs_hold_every_window_once_in_order(self, windows, cuts):
         # window 2, stride 2: a session of 2k frames has k windows
         bounds = [0] + sorted({c for c in cuts if c < windows}) + [windows]
         sessions = [_session_of(i, 2 * (b - a)) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-        jobs = list(dctm.train._window_jobs(sessions, 2, 2, workers))
+        cfg = tiny_cfg(data=DataConfig(window=2, stride=2))
+        jobs = list(dctm.train._window_jobs(sessions, cfg))
         assert [(i, w.start) for job in jobs for i, w in job] == [
             (i, start) for i, s in enumerate(sessions) for start in window_starts(s.num_frames, 2, 2)]
-
-        sizes = dctm.train._job_sizes(windows, workers)
-        assert [len(job) for job in jobs] == [n for n in sizes if n]
-        assert sum(sizes) == windows
-        assert max(sizes) <= JOB_WINDOWS and max(sizes) - min(sizes) <= 1
-        rounds, rest = divmod(len(sizes), workers)
-        assert rest == 0 and (rounds - 1) * workers * JOB_WINDOWS < windows
+        # full jobs across session boundaries, the remainder last
+        assert [len(job) for job in jobs[:-1]] == [JOB_WINDOWS] * (len(jobs) - 1)
+        assert 0 < len(jobs[-1]) <= JOB_WINDOWS
 
 
 # ---------------------------------------------------------------------------
