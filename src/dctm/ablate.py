@@ -112,11 +112,11 @@ def run_ablation(base: DctmConfig,
 
     magnitude = []
     for subject in subjects:
-        magnitude += _magnitude_rows(subject, raw[subject][0], base.data.modalities)
+        magnitude += magnitude_rows(subject, raw[subject][0], base.data.modalities)
     return cells, magnitude
 
 
-def _magnitude_rows(subject: str, sessions: list[Session], modalities) -> list[MagnitudeRow]:
+def magnitude_rows(subject: str, sessions: list[Session], modalities) -> list[MagnitudeRow]:
     """Raw-feature L2-norm CCC against labels, per modality of one subject's
     raw training sessions."""
     rows = []
@@ -127,15 +127,6 @@ def _magnitude_rows(subject: str, sessions: list[Session], modalities) -> list[M
         r = magnitude_ccc(np.where(np.isnan(feats), 0.0, feats), labels, mask)
         rows.append(MagnitudeRow(subject=subject, modality=m, ccc=r.ccc,
                                  degenerate=r.degenerate, n=r.n))
-    return rows
-
-
-def magnitude_table(base: DctmConfig, subjects) -> list[MagnitudeRow]:
-    """Raw-feature L2-norm CCC against labels, per (subject, modality)."""
-    rows = []
-    for subject in subjects:
-        sessions = load_split_sessions(base.data.root, "train", subject)
-        rows += _magnitude_rows(subject, sessions, base.data.modalities)
     return rows
 
 

@@ -9,6 +9,7 @@ bit-exact for float32 weights.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -20,19 +21,28 @@ MAGIC = b"DCTM1"
 
 
 def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Write the records to ``<path>.tmp``, then rename it over ``path``, so
+    a save that fails or is killed never leaves ``path`` truncated. On an
+    error the temporary file is removed."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(named_arrays)))
-        for name, arr in named_arrays:
-            payload = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", payload.ndim))
-            for d in payload.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(payload.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(named_arrays)))
+            for name, arr in named_arrays:
+                payload = np.ascontiguousarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<Q", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<Q", payload.ndim))
+                for d in payload.shape:
+                    fh.write(struct.pack("<Q", d))
+                fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -82,13 +82,7 @@ class Window:
     features: dict[str, np.ndarray]   # modality -> (C_m, W)
     labels: np.ndarray                # (W,), zeros where unlabeled/padded
     mask: np.ndarray                  # (W,) bool, False on padding/invalid frames
-    session_id: str
-    role: str
     start: int
-
-    @property
-    def key(self) -> str:
-        return f"{self.session_id}/{self.role}"
 
 
 @dataclass
@@ -96,12 +90,6 @@ class WindowBatch:
     features: dict[str, np.ndarray]   # modality -> (B, C_m, W)
     labels: np.ndarray                # (B, W)
     mask: np.ndarray                  # (B, W) bool
-    sessions: list[str]               # "<session_id>/<role>" per row
-    starts: list[int]
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +373,7 @@ def make_windows(session: Session, window: int = 64, stride: int = 32) -> list[W
             block = np.zeros((stream.num_features, window), dtype=np.float64)
             block[:, :n] = stream.features[start:stop].T
             feats[m] = block
-        out.append(Window(features=feats, labels=lab, mask=mask,
-                          session_id=session.session_id, role=session.role,
-                          start=start))
+        out.append(Window(features=feats, labels=lab, mask=mask, start=start))
     return out
 
 
@@ -405,8 +391,6 @@ def batch_windows(windows: list[Window], batch_size: int,
             features=feats,
             labels=np.stack([w.labels for w in chunk]).astype(dtype),
             mask=np.stack([w.mask for w in chunk]),
-            sessions=[w.key for w in chunk],
-            starts=[w.start for w in chunk],
         ))
     return batches
 

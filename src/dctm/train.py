@@ -14,15 +14,10 @@ it with run-directory persistence:
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import ctypes
 import functools
 import json
-import os
 import subprocess
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +40,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .metrics import CccResult, ccc, ccc_loss
 from .model import DctmModel
 from .optim import Adam
+from .parallel import ordered_map
 from .tensor import no_grad
 
 
@@ -172,76 +168,6 @@ class EvalReport:
 # CPUs an evaluate-only process peaked at 62.7 MiB with 8 and 67.1 with 12
 # (32: +40 MiB), and 12 scored faster in only 8 of 10 benchmark pairs.
 JOB_WINDOWS = 8
-# Activation cells per window (window x hidden) below which a forward is
-# bound by Python overhead under the interpreter lock, so a pool scores
-# slower than one thread. On 2 CPUs at window 64 with 8-window jobs, a pool
-# took 1.40x the one-thread time at hidden 16, 1.21x at 32 and 0.96x at 64.
-MIN_POOLED_WINDOW_CELLS = 64 * 64
-
-
-@functools.cache
-def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS this process has
-    loaded, or None where none is found. NumPy wheels bundle it under a
-    prefixed name, e.g. ``scipy_openblas_set_num_threads64_``."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
-                            if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", "_64", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
-def _scoring_workers(cfg: DctmConfig) -> int:
-    """One per usable CPU, or 1 where windows are too small to gain from threads."""
-    cells = cfg.data.window * cfg.transformer.hidden
-    if cells < MIN_POOLED_WINDOW_CELLS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-class _CallingThread:
-    """The one-worker pool: runs each job as it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@contextlib.contextmanager
-def _scoring_pool(workers: int):
-    """(pool, workers): ``workers`` threads with OpenBLAS pinned to one
-    thread until the block exits, or the calling thread alone for one
-    worker or where there is no OpenBLAS to pin. The BLAS thread count is
-    process-global, so it is restored only after every worker stopped."""
-    blas = _openblas() if workers > 1 else None
-    if blas is None:
-        yield _CallingThread(), 1
-        return
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(1)
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="dctm-score")
-    try:
-        yield pool, workers
-    finally:
-        pool.shutdown(cancel_futures=True)
-        set_threads(previous)
 
 
 def _window_jobs(sessions: list[Session], cfg: DctmConfig):
@@ -262,10 +188,10 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
                      cfg: DctmConfig) -> dict[str, np.ndarray]:
     """Per-frame scores for already-normalized sessions, keyed by session.key.
 
-    Every job of `_window_jobs` runs on the `_scoring_pool`. A window scores
-    bit-identically at any batch row and batch size, so the result equals
-    serial scoring. No job keeps attention weights or gates (see
-    `DctmModel.inspect`)."""
+    Every job of `_window_jobs` runs through `parallel.ordered_map`. A
+    window scores bit-identically at any batch row and batch size, so the
+    result equals serial scoring. No job keeps attention weights or gates
+    (see `DctmModel.inspect`)."""
     preds = [[] for _ in sessions]
 
     def score(job):
@@ -274,19 +200,10 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
         with no_grad():
             return zip(job, model(batch.features, None, training=False).data)
 
-    def collect(scored):
-        for (i, window), scores in scored:
-            preds[i].append((window.start, scores))
-
-    with _scoring_pool(_scoring_workers(cfg)) as (pool, workers):
-        pending = collections.deque()
-        for job in _window_jobs(sessions, cfg):
-            pending.append(pool.submit(score, job))
-            # windows are built at most two jobs per worker ahead of scoring
-            if len(pending) > 2 * workers:
-                collect(pending.popleft().result())
-        while pending:
-            collect(pending.popleft().result())
+    with ordered_map(cfg.data.window * cfg.transformer.hidden) as run:
+        for scored in run(score, _window_jobs(sessions, cfg)):
+            for (i, window), scores in scored:
+                preds[i].append((window.start, scores))
     return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}
 
 

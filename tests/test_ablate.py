@@ -12,12 +12,12 @@ from dctm.ablate import (
     ablate_run,
     format_grid,
     format_magnitude,
-    magnitude_table,
+    magnitude_rows,
     parse_modality_sets,
     run_ablation,
 )
 from dctm.config import ConvConfig, DataConfig, DctmConfig, OptimConfig
-from dctm.data import SyntheticSpec, generate_dataset
+from dctm.data import MODALITIES, SyntheticSpec, generate_dataset, load_split_sessions
 from dctm.errors import ConfigError
 from dctm.transformer import TransformerSettings
 
@@ -72,7 +72,8 @@ class TestGrid:
         splits = json.loads((dataset / "splits.json").read_text())
         assert reads == {f"{sid}/{role}": 1 for sid in splits["train"] + splits["val"]
                          for role in ("expert", "novice")}
-        assert magnitude == magnitude_table(base_cfg(dataset), subjects=("both",))
+        assert magnitude == magnitude_rows("both", load_split_sessions(dataset, "train"),
+                                           MODALITIES)
 
     def test_cells_cover_requested_grid(self, dataset):
         cells, magnitude = run_ablation(base_cfg(dataset),
@@ -118,7 +119,7 @@ class TestGrid:
 
 class TestMagnitude:
     def test_pure_noise_modalities_have_small_ccc(self, dataset):
-        rows = magnitude_table(base_cfg(dataset), subjects=("both",))
+        rows = magnitude_rows("both", load_split_sessions(dataset, "train"), MODALITIES)
         by_mod = {r.modality: r for r in rows}
         # head and pose carry no signal at all in this dataset
         assert abs(by_mod["head"].ccc) < 0.1

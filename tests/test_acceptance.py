@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dctm.fusion
-from dctm.ablate import magnitude_table, run_ablation
+from dctm.ablate import magnitude_rows, run_ablation
 from dctm.checkpoint import load_checkpoint, save_checkpoint
 from dctm.config import ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig
 from dctm.data import (
@@ -23,6 +23,7 @@ from dctm.data import (
     apply_norm_stats,
     generate_dataset,
     generate_synthetic,
+    load_split_sessions,
     make_windows,
 )
 from dctm.metrics import ccc, ccc_loss
@@ -271,7 +272,7 @@ def test_criterion_09_ablation_harness(grid_root):
                    for f in ("sa", "gmu") for s in ("expert", "novice")}
                and {c.receptive_field for c in cells} == {41, 11, 1})
 
-    rows = magnitude_table(base, subjects=("both",))
+    rows = magnitude_rows("both", load_split_sessions(grid_root, "train"), MODALITIES)
     by_mod = {r.modality: r for r in rows}
     n = by_mod["head"].n
     noise_ok = (n >= 10_000

@@ -36,6 +36,17 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_save_leaves_the_old_checkpoint_whole(tmp_path, rng):
+    path = tmp_path / "m.dctm"
+    save_checkpoint(path, [("w", rng.standard_normal((3, 2)).astype(np.float32))])
+    before = path.read_bytes()
+    # the second record cannot be cast to float32, so the save fails midway
+    with pytest.raises(ValueError):
+        save_checkpoint(path, [("w", np.ones((3, 2))), ("bad", np.array(["x"]))])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_restore_matches_by_name_and_shape(tmp_path, rng):
     w = rng.standard_normal((3, 2)).astype(np.float32)
     save_checkpoint(tmp_path / "a.dctm", [("w", w)])

@@ -327,11 +327,17 @@ class TestWindows:
         (session,) = generate_synthetic(spec)
         windows = make_windows(session, window=64, stride=32)
         batches = batch_windows(windows, batch_size=4)
-        assert [b.size for b in batches] == [4, 2]
+        assert [w.start for w in windows] == [0, 32, 64, 96, 128, 136]
+        assert [len(b.labels) for b in batches] == [4, 2]
         assert batches[0].features["pose"].shape == (4, 12, 64)
         assert batches[0].features["pose"].dtype == np.float32
-        assert batches[0].starts == [0, 32, 64, 96]
-        assert batches[1].starts == [128, 136]
+        # row r of batch b holds window 4b + r
+        for b, batch in enumerate(batches):
+            for r, w in enumerate(windows[4 * b:4 * b + 4]):
+                for m, block in w.features.items():
+                    assert batch.features[m][r].tobytes() == block.astype(np.float32).tobytes()
+                assert batch.labels[r].tobytes() == w.labels.astype(np.float32).tobytes()
+                assert (batch.mask[r] == w.mask).all()
 
 
 class TestOverlapAverage:

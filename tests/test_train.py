@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dctm.data
+import dctm.parallel
 import dctm.tensor
 import dctm.train
 from dctm.checkpoint import load_checkpoint, restore_into
@@ -401,11 +402,12 @@ def _serial_scores(model, sessions, cfg):
     out = {}
     with no_grad():
         for s in sessions:
-            preds = []
-            for batch in batch_windows(make_windows(s, cfg.data.window, cfg.data.stride),
-                                       cfg.optim.batch_size, dtype=cfg.dtype):
-                preds.extend(zip(batch.starts, model(batch.features, None).data))
-            out[s.key] = overlap_average(s.num_frames, preds)
+            windows = make_windows(s, cfg.data.window, cfg.data.stride)
+            scores = [row for batch in batch_windows(windows, cfg.optim.batch_size,
+                                                     dtype=cfg.dtype)
+                      for row in model(batch.features, None).data]
+            out[s.key] = overlap_average(s.num_frames,
+                                         zip([w.start for w in windows], scores))
     return out
 
 
@@ -423,18 +425,6 @@ def forward_threads(monkeypatch):
     return names
 
 
-@pytest.fixture
-def blas():
-    """The loaded OpenBLAS's (get, set) thread-count pair; its count is put back after."""
-    found = dctm.train._openblas()
-    if found is None:
-        pytest.skip("no OpenBLAS loaded in this process; thread-count contracts "
-                    "are tested for the OpenBLAS family only")
-    before = found[0]()
-    yield found
-    found[1](before)
-
-
 class TestPredictSessionsPool:
     @pytest.mark.parametrize("fusion", ["sa", "gmu"])
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -443,7 +433,7 @@ class TestPredictSessionsPool:
                                              precision, fusion, workers):
         cfg, model, sessions, windows = _scoring_setup(precision, fusion)
         expected = _serial_scores(model, sessions, cfg)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: workers)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: workers)
         forward_threads.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -456,7 +446,7 @@ class TestPredictSessionsPool:
             assert got[key].tobytes() == scores.tobytes(), key
         # one forward a job of JOB_WINDOWS, every job on the pool:
         # none on the calling thread when pooled
-        pooled = workers > 1 and dctm.train._openblas() is not None
+        pooled = workers > 1 and dctm.parallel._openblas() is not None
         assert len(forward_threads) == -(-len(windows) // JOB_WINDOWS)
         main = threading.current_thread().name
         assert (main not in forward_threads) if pooled else set(forward_threads) == {main}
@@ -474,7 +464,7 @@ class TestPredictSessionsPool:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(DctmModel, "__call__", recording)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 2)
         predict_sessions(model, sessions, cfg)
         assert seen and set(seen) == {1}
         assert get_threads() == 2
@@ -492,7 +482,7 @@ class TestPredictSessionsPool:
             return out
 
         monkeypatch.setattr(DctmModel, "__call__", recording)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 2)
         predict_sessions(model, sessions, cfg)
         assert not all(on_main for on_main, _ in recorded)
         assert all(no_graph for _, no_graph in recorded)
@@ -511,26 +501,29 @@ class TestPredictSessionsPool:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(DctmModel, "__call__", failing)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 2)
         with pytest.raises(RuntimeError) as caught:
             predict_sessions(model, sessions, cfg)
         assert caught.value is boom
         assert get_threads() == 2
         assert dctm.tensor._grad_mode.enabled
 
-    def test_small_jobs_score_on_one_thread(self):
-        # 12 windows x 32 frames x hidden 16 cells per job: Python-bound, no pool
-        assert dctm.train._scoring_workers(tiny_cfg()) == 1
-        wide = tiny_cfg(data=DataConfig(window=64, stride=32),
-                        transformer=TransformerSettings(hidden=64, heads=2))
-        assert dctm.train._scoring_workers(wide) == len(os.sched_getaffinity(0))
+    def test_small_jobs_score_on_one_thread(self, monkeypatch):
+        # window 32 x hidden 16 cells: Python-bound, no pool
+        cfg, model, sessions, _ = _scoring_setup("float32", "sa")
+        real, asked = dctm.parallel._workers, []
+        monkeypatch.setattr(dctm.parallel, "_workers",
+                            lambda cells: asked.append(cells) or real(cells))
+        predict_sessions(model, sessions, cfg)
+        assert asked == [32 * 16] and real(32 * 16) == 1
+        assert real(64 * 64) == len(os.sched_getaffinity(0))
 
     def test_without_openblas_scores_on_the_calling_thread(self, monkeypatch,
                                                            forward_threads):
         cfg, model, sessions, _ = _scoring_setup("float32", "gmu")
         expected = _serial_scores(model, sessions, cfg)
-        monkeypatch.setattr(dctm.train, "_openblas", lambda: None)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 4)
+        monkeypatch.setattr(dctm.parallel, "_openblas", lambda: None)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 4)
         forward_threads.clear()
         got = predict_sessions(model, sessions, cfg)
         assert set(forward_threads) == {threading.current_thread().name}
@@ -626,7 +619,7 @@ class TestScoreRun:
         run, data, last = _copy_run(score_env, tmp_path, bad_row)
         get_threads, set_threads = blas
         set_threads(2)
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 2)
         with pytest.raises(DataError, match=rf"{last}/novice\.voice\.csv:41: expected"):
             evaluate_run(run, overrides={"data.root": str(data)})
         assert [kind for kind, _ in events] == ["load"] * 6
@@ -664,7 +657,7 @@ class TestScoreRun:
                                 stats=NormStats.load(run / "norm_stats.csv"))
         expected = _serial_scores(model, sessions, cfg)
 
-        monkeypatch.setattr(dctm.train, "_scoring_workers", lambda cfg: 2)
+        monkeypatch.setattr(dctm.parallel, "_workers", lambda cells: 2)
         report = evaluate_run(run, split="val")
         written = predict_run(run, tmp_path, split="val")
         assert [s.session for s in report.per_session] == list(expected)
