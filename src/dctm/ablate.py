@@ -18,6 +18,7 @@ from .config import DctmConfig, to_flat
 from .conv import receptive_field
 from .data import MODALITIES, Session, load_split_sessions
 from .errors import ConfigError
+from .files import atomic_write
 from .metrics import magnitude_ccc
 from .model import conv_specs
 from .train import build_id, fit
@@ -180,11 +181,12 @@ def ablate_run(base: DctmConfig, out_dir, conv_kinds, fusion_kinds,
         ],
         "magnitude": [vars(r).copy() for r in magnitude],
     }
-    with open(out / "ablation.json", "w") as fh:
+    with atomic_write(out / "ablation.json") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     text = format_grid(cells) + "\n" + format_magnitude(magnitude)
-    (out / "ablation.txt").write_text(text)
+    with atomic_write(out / "ablation.txt") as fh:
+        fh.write(text)
     if log is not None:
         log(text)
     return cells, magnitude

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import atomic_write
 
 MODALITIES = ("head", "pose", "voice")
 ROLES = ("expert", "novice")
@@ -78,11 +79,11 @@ class Session:
 
 @dataclass
 class Window:
-    """One fixed-length slice of a session, zero-padded if it overruns."""
-    features: dict[str, np.ndarray]   # modality -> (C_m, W)
-    labels: np.ndarray                # (W,), zeros where unlabeled/padded
-    mask: np.ndarray                  # (W,) bool, False on padding/invalid frames
+    """One fixed-length slice of a session, by reference: no feature or
+    label is copied until `batch_windows` gathers the window into a batch."""
+    session: Session
     start: int
+    mask: np.ndarray                  # (W,) bool, False on padding/invalid frames
 
 
 @dataclass
@@ -261,7 +262,7 @@ class NormStats:
         return self.mean[idx], self.std[idx]
 
     def save(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["name", "mean", "std"])
             for n, m, s in zip(self.names, self.mean, self.std):
@@ -356,42 +357,42 @@ def window_starts(T: int, window: int, stride: int) -> list[int]:
 
 
 def make_windows(session: Session, window: int = 64, stride: int = 32) -> list[Window]:
+    """References to the windows of `session`, in start order. The frame
+    mask is computed once per session; each window's mask is a row of one
+    (N, W) array, False past the last frame."""
     T = session.num_frames
-    frame_mask = session.frame_mask
-    labels = session.labels
-    out = []
-    for start in window_starts(T, window, stride):
-        stop = min(start + window, T)
-        n = stop - start
-        mask = np.zeros(window, dtype=bool)
-        mask[:n] = frame_mask[start:stop]
-        lab = np.zeros(window, dtype=np.float64)
-        if labels is not None:
-            lab[:n] = labels[start:stop]
-        feats = {}
-        for m, stream in session.streams.items():
-            block = np.zeros((stream.num_features, window), dtype=np.float64)
-            block[:, :n] = stream.features[start:stop].T
-            feats[m] = block
-        out.append(Window(features=feats, labels=lab, mask=mask, start=start))
-    return out
+    starts = window_starts(T, window, stride)
+    padded = np.zeros(max(T, window), dtype=bool)
+    padded[:T] = session.frame_mask
+    masks = np.lib.stride_tricks.sliding_window_view(padded, window)[starts]
+    return [Window(session, start, mask) for start, mask in zip(starts, masks)]
 
 
 def batch_windows(windows: list[Window], batch_size: int,
                   dtype=np.float32) -> list[WindowBatch]:
-    """Group windows into dense batches, preserving the given order."""
+    """Gather windows into dense batches, preserving the given order.
+
+    Each row is written straight from its session's arrays into zeroed
+    (B, C_m, W) and (B, W) buffers of `dtype`, so a value is cast once and
+    padding and unlabeled frames stay zero. Windows of one batch may come
+    from different sessions with the same modalities."""
     batches = []
     for i in range(0, len(windows), batch_size):
         chunk = windows[i:i + batch_size]
-        feats = {
-            m: np.stack([w.features[m] for w in chunk]).astype(dtype)
-            for m in chunk[0].features
-        }
-        batches.append(WindowBatch(
-            features=feats,
-            labels=np.stack([w.labels for w in chunk]).astype(dtype),
-            mask=np.stack([w.mask for w in chunk]),
-        ))
+        W = chunk[0].mask.shape[0]
+        feats = {m: np.zeros((len(chunk), stream.num_features, W), dtype=dtype)
+                 for m, stream in chunk[0].session.streams.items()}
+        labels = np.zeros((len(chunk), W), dtype=dtype)
+        for row, w in enumerate(chunk):
+            stop = w.start + W
+            for m, block in feats.items():
+                piece = w.session.streams[m].features[w.start:stop]
+                block[row, :, :piece.shape[0]] = piece.T
+            if w.session.labels is not None:
+                piece = w.session.labels[w.start:stop]
+                labels[row, :piece.shape[0]] = piece
+        batches.append(WindowBatch(features=feats, labels=labels,
+                                   mask=np.stack([w.mask for w in chunk])))
     return batches
 
 

@@ -37,6 +37,7 @@ from .data import (
     read_json,
 )
 from .errors import ConfigError, DataError, NumericalError
+from .files import atomic_write
 from .metrics import CccResult, ccc, ccc_loss
 from .model import DctmModel
 from .optim import Adam
@@ -154,10 +155,11 @@ class EvalReport:
 
     def save(self, directory, stem: str = "report") -> None:
         directory = Path(directory)
-        with open(directory / f"{stem}.json", "w") as fh:
+        with atomic_write(directory / f"{stem}.json") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
-        (directory / f"{stem}.txt").write_text(self.to_text())
+        with atomic_write(directory / f"{stem}.txt") as fh:
+            fh.write(self.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,8 @@ JOB_WINDOWS = 8
 
 def _window_jobs(sessions: list[Session], cfg: DctmConfig):
     """(session index, window) jobs of JOB_WINDOWS, windowing one session
-    at a time as the jobs are drawn."""
+    at a time as the jobs are drawn. A window is a reference, so drawing a
+    job copies no features: its worker gathers them."""
     job = []
     for i, session in enumerate(sessions):
         for window in make_windows(session, cfg.data.window, cfg.data.stride):
@@ -284,11 +287,13 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
     best_epoch, best_val, best_val_score = -1, -np.inf, None
     for epoch in range(cfg.optim.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
-        shuffled = [windows[i] for i in order]
         drop_rng = np.random.default_rng([cfg.seed, 101, epoch])
         losses, epoch_preds, epoch_true, epoch_mask = [], [], [], []
-        for step, batch in enumerate(batch_windows(shuffled, cfg.optim.batch_size,
-                                                   dtype=cfg.dtype)):
+        B = cfg.optim.batch_size
+        for step, first in enumerate(range(0, len(windows), B)):
+            # gathered when the step starts: training holds the sessions plus one batch
+            batch = batch_windows([windows[i] for i in order[first:first + B]], B,
+                                  dtype=cfg.dtype)[0]
             pred = model(batch.features, drop_rng, training=True)
             loss = ccc_loss(pred, batch.labels, batch.mask)
             value = loss.item()
@@ -355,7 +360,7 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
     result = fit(cfg, train_sessions, val_sessions, log=log)
 
     flat = to_flat(cfg)
-    with open(out / "config.txt", "w") as fh:
+    with atomic_write(out / "config.txt") as fh:
         for key in sorted(flat):
             fh.write(f"{key} = {flat[key]}\n")
     result.stats.save(out / "norm_stats.csv")
@@ -363,7 +368,7 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
                     [(n, a) for n, a in result.best_state.items()])
     save_checkpoint(out / "checkpoint.last.dctm",
                     [(n, a) for n, a in result.last_state.items()])
-    with open(out / "meta.json", "w") as fh:
+    with atomic_write(out / "meta.json") as fh:
         json.dump({
             "feature_dims": result.feature_dims,
             "best_epoch": result.best_epoch,
@@ -467,7 +472,7 @@ def predict_run(run_dir, out_dir, split: str = "val", which: str = "best",
         scores = predictions[session.key]
         path = out / f"{session.session_id}.{session.role}.scores.csv"
         frames = next(iter(session.streams.values())).frame_index
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("frame,score\n")
             for t in range(session.num_frames):
                 fh.write(f"{int(frames[t])},{float(scores[t])!r}\n")

@@ -9,6 +9,7 @@ import dctm.data
 from dctm.data import (
     _read_feature_csv,
     MODALITIES,
+    ModalityStream,
     NormStats,
     Session,
     SyntheticSpec,
@@ -305,8 +306,13 @@ class TestWindows:
         assert len(windows) == 1
         w = windows[0]
         assert w.mask.sum() == 10 and (~w.mask[10:]).all()
-        assert w.features["head"].shape == (8, 64)
-        assert (w.features["head"][:, 10:] == 0.0).all()
+        (batch,) = batch_windows(windows, batch_size=1, dtype=np.float64)
+        head = batch.features["head"][0]
+        assert head.shape == (8, 64)
+        np.testing.assert_array_equal(head[:, :10], session.streams["head"].features.T)
+        assert (head[:, 10:] == 0.0).all()
+        np.testing.assert_array_equal(batch.labels[0, :10], session.labels)
+        assert (batch.labels[0, 10:] == 0.0).all()
 
     def test_empty_session(self):
         assert window_starts(0, 64, 32) == []
@@ -331,13 +337,80 @@ class TestWindows:
         assert [len(b.labels) for b in batches] == [4, 2]
         assert batches[0].features["pose"].shape == (4, 12, 64)
         assert batches[0].features["pose"].dtype == np.float32
-        # row r of batch b holds window 4b + r
+        # row r of batch b holds window 4b + r, cast once to float32
         for b, batch in enumerate(batches):
             for r, w in enumerate(windows[4 * b:4 * b + 4]):
-                for m, block in w.features.items():
-                    assert batch.features[m][r].tobytes() == block.astype(np.float32).tobytes()
-                assert batch.labels[r].tobytes() == w.labels.astype(np.float32).tobytes()
+                frames = slice(w.start, w.start + 64)
+                for m, stream in session.streams.items():
+                    want = stream.features[frames].T.astype(np.float32)
+                    assert batch.features[m][r].tobytes() == want.tobytes()
+                want = session.labels[frames].astype(np.float32)
+                assert batch.labels[r].tobytes() == want.tobytes()
                 assert (batch.mask[r] == w.mask).all()
+
+
+def copied_batch(windows, dtype):
+    """The gather as it was when each window held its own copy: a float64
+    block per window, zero past the session's end, then one stack and cast."""
+    feats = {m: [] for m in windows[0].session.streams}
+    labels = []
+    for w in windows:
+        W = w.mask.shape[0]
+        n = min(W, w.session.num_frames - w.start)
+        for m, stream in w.session.streams.items():
+            block = np.zeros((stream.num_features, W), dtype=np.float64)
+            block[:, :n] = stream.features[w.start:w.start + n].T
+            feats[m].append(block)
+        lab = np.zeros(W, dtype=np.float64)
+        if w.session.labels is not None:
+            lab[:n] = w.session.labels[w.start:w.start + n]
+        labels.append(lab)
+    return ({m: np.stack(b).astype(dtype) for m, b in feats.items()},
+            np.stack(labels).astype(dtype))
+
+
+def nan_session(rng, sid, T, nan_frames, labeled):
+    streams = {}
+    for m, C in zip(MODALITIES, (2, 3, 1)):
+        feats = rng.normal(size=(T, C))
+        feats[[t for t in nan_frames if t < T], 0] = np.nan
+        streams[m] = ModalityStream(m, feats, np.arange(T), ~np.isnan(feats).any(axis=1),
+                                    [f"f{j}" for j in range(C)])
+    return Session(sid, "expert", streams, rng.uniform(size=T) if labeled else None)
+
+
+class TestGather:
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=2),
+           window=st.integers(1, 320), stride=st.integers(1, 400),
+           batch_size=st.integers(1, 40), labeled=st.lists(st.booleans(), min_size=2,
+                                                            max_size=2),
+           nan_frames=st.lists(st.integers(0, 299), max_size=20),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_gathered_batches_equal_the_copy_path(self, lengths, window, stride, batch_size,
+                                                  labeled, nan_frames, dtype, seed):
+        """Bit for bit, for windows shorter and longer than their session,
+        NaN-imputed frames, unlabeled sessions and batches that span two
+        sessions (one batch of every window does whenever there are two)."""
+        rng = np.random.default_rng(seed)
+        raw = [nan_session(rng, f"s{i}", T, nan_frames, labeled[i])
+               for i, T in enumerate(lengths)]
+        sessions, _ = normalize(raw)
+        windows = [w for s in sessions for w in make_windows(s, window, stride)]
+        for size in (batch_size, len(windows)):
+            batches = batch_windows(windows, size, dtype=dtype)
+            assert len(batches) == -(-len(windows) // size)
+            for b, batch in enumerate(batches):
+                chunk = windows[b * size:(b + 1) * size]
+                feats, labels = copied_batch(chunk, dtype)
+                for m in MODALITIES:
+                    assert batch.features[m].dtype == dtype
+                    assert batch.features[m].tobytes() == feats[m].tobytes()
+                assert batch.labels.tobytes() == labels.tobytes()
+                for row, w in zip(batch.mask, chunk):
+                    n = min(window, w.session.num_frames - w.start)
+                    assert (row[:n] == w.session.frame_mask[w.start:w.start + n]).all()
+                    assert not row[n:].any()
 
 
 class TestOverlapAverage:
@@ -362,7 +435,8 @@ class TestOverlapAverage:
         spec = SyntheticSpec(seed=11, sessions=1, frames=100, roles=("expert",))
         (session,) = generate_synthetic(spec)
         windows = make_windows(session, window=64, stride=32)
-        preds = [(w.start, w.labels) for w in windows]
+        (batch,) = batch_windows(windows, batch_size=len(windows), dtype=np.float64)
+        preds = [(w.start, labels) for w, labels in zip(windows, batch.labels)]
         scores = overlap_average(100, preds)
         assert scores.shape == (100,)
         np.testing.assert_allclose(scores, session.labels, atol=1e-12)

@@ -5,6 +5,7 @@ import os
 import shutil
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,7 +69,35 @@ def arrays_held(module, path="model"):
     return found
 
 
+def traced_fit_peak(cfg, sessions) -> tuple[int, int]:
+    """(tracemalloc's peak during `fit`, the sessions' feature bytes)."""
+    data = sum(stream.features.nbytes for s in sessions for stream in s.streams.values())
+    tracemalloc.start()
+    try:
+        fit(cfg, sessions, [])
+        return tracemalloc.get_traced_memory()[1], data
+    finally:
+        tracemalloc.stop()
+
+
 class TestFit:
+    def test_peak_memory_is_the_sessions_plus_one_batch(self):
+        """Batches are gathered when their step starts, so training holds the
+        normalized sessions plus one step. A step's share is measured as the
+        excess of a fit on one batch of windows over its own data. A quarter
+        of the data more covers what grows with the window count at under a
+        tenth of it here: each window's mask, and the epoch's predictions and
+        labels kept for train CCC. Copies of every window's features alone
+        would take twice the data at stride W/2."""
+        cfg = tiny_cfg(epochs=1, optim=OptimConfig(lr=1e-3, epochs=1, batch_size=8),
+                       data=DataConfig(root="unused", window=64, stride=32))
+        spec = SyntheticSpec(seed=1, sessions=1, frames=64 + 7 * 32, dims=(40, 40, 40),
+                             roles=("expert",))
+        one_batch, one_batch_data = traced_fit_peak(cfg, generate_synthetic(spec))
+        larger = replace(spec, sessions=2, frames=1200, roles=("expert", "novice"))
+        peak, data = traced_fit_peak(cfg, generate_synthetic(larger))
+        assert peak < data + (one_batch - one_batch_data) + data // 4, (peak, data, one_batch)
+
     def test_reruns_are_bit_identical(self):
         results = []
         for _ in range(2):
@@ -238,6 +267,7 @@ class TestTrainRun:
                      "checkpoint.best.dctm", "checkpoint.last.dctm",
                      "report.json", "report.txt"):
             assert (run / name).exists(), name
+        assert not list(run.glob("*.tmp"))
 
     def test_report_echoes_full_config(self, run_env):
         cfg, _, run, report = run_env
