@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .files import atomic_write
 
 MAGIC = b"DCTM1"
@@ -79,8 +79,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def restore_into(params: list[tuple[str, "object"]], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into model parameters, matching by name and shape.
-    Each parameter gets a fresh writeable array in its own dtype."""
+    """Copy loaded arrays into the model parameters' arrays, matching by
+    name and shape; ``.data`` is never rebound. A mismatch raises
+    `DataError` and a non-finite record `NumericalError`, each naming the
+    first such record, before any parameter is written."""
     param_names = {name for name, _ in params}
     missing = param_names - set(loaded)
     extra = set(loaded) - param_names
@@ -93,4 +95,10 @@ def restore_into(params: list[tuple[str, "object"]], loaded: dict[str, np.ndarra
             raise DataError(
                 f"checkpoint tensor '{name}' has shape {tuple(arr.shape)}, "
                 f"model expects {tuple(p.data.shape)}")
-        p.data = arr.astype(p.data.dtype)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            at = np.unravel_index(int(np.argmin(finite)), arr.shape)
+            raise NumericalError(f"checkpoint tensor '{name}' holds {arr[at]} at index "
+                                 f"{tuple(map(int, at))}")
+    for name, p in params:
+        p.data[...] = loaded[name]

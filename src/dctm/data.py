@@ -368,29 +368,36 @@ def make_windows(session: Session, window: int = 64, stride: int = 32) -> list[W
     return [Window(session, start, mask) for start, mask in zip(starts, masks)]
 
 
+def _frames_of(a: np.ndarray, start: int, W: int) -> np.ndarray:
+    """``a[start:start + W]`` along its frame axis, zero-padded to W frames."""
+    piece = a[start:start + W]
+    if len(piece) == W:
+        return piece
+    padded = np.zeros((W,) + a.shape[1:], a.dtype)
+    padded[:len(piece)] = piece
+    return padded
+
+
 def batch_windows(windows: list[Window], batch_size: int,
                   dtype=np.float32) -> list[WindowBatch]:
     """Gather windows into dense batches, preserving the given order.
 
-    Each row is written straight from its session's arrays into zeroed
-    (B, C_m, W) and (B, W) buffers of `dtype`, so a value is cast once and
-    padding and unlabeled frames stay zero. Windows of one batch may come
-    from different sessions with the same modalities."""
+    Each modality's (B, C_m, W) block, and the (B, W) labels, is written by
+    one ``np.concatenate`` of the rows' views of their sessions' arrays,
+    whatever session each row comes from, so a value is cast once. Padding
+    and unlabeled frames are zero. Windows of one batch may come from
+    different sessions with the same modalities."""
     batches = []
     for i in range(0, len(windows), batch_size):
         chunk = windows[i:i + batch_size]
         W = chunk[0].mask.shape[0]
-        feats = {m: np.zeros((len(chunk), stream.num_features, W), dtype=dtype)
-                 for m, stream in chunk[0].session.streams.items()}
-        labels = np.zeros((len(chunk), W), dtype=dtype)
-        for row, w in enumerate(chunk):
-            stop = w.start + W
-            for m, block in feats.items():
-                piece = w.session.streams[m].features[w.start:stop]
-                block[row, :, :piece.shape[0]] = piece.T
-            if w.session.labels is not None:
-                piece = w.session.labels[w.start:stop]
-                labels[row, :piece.shape[0]] = piece
+        unlabeled = np.zeros(W)
+        feats = {m: np.concatenate([_frames_of(w.session.streams[m].features, w.start, W).T[None]
+                                    for w in chunk], dtype=dtype)
+                 for m in chunk[0].session.streams}
+        labels = np.concatenate([(unlabeled if w.session.labels is None
+                                  else _frames_of(w.session.labels, w.start, W))[None]
+                                 for w in chunk], dtype=dtype)
         batches.append(WindowBatch(features=feats, labels=labels,
                                    mask=np.stack([w.mask for w in chunk])))
     return batches

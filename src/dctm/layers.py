@@ -64,6 +64,43 @@ class Module:
             p.grad = None
 
 
+class Arena:
+    """Named parameters packed into one flat buffer, ``flat``, of one dtype.
+
+    Each parameter's ``.data`` becomes the contiguous view of ``flat`` at
+    its offset, in the given order: for a model, ``named_parameters()``,
+    the checkpoint record order. This is the one place that binds
+    ``.data``; everything else writes into the views, so they stay views.
+    ``dtype`` casts the values (as ``astype`` would); without it the
+    parameters must share one. ``fill=False`` leaves every value zero, for
+    parameters a checkpoint will supply: the buffer's pages are first
+    touched when it is restored."""
+
+    def __init__(self, named, dtype=None, fill: bool = True):
+        self.params = list(named)
+        if dtype is None:
+            dtypes = {p.data.dtype for _, p in self.params}
+            if len(dtypes) > 1:
+                raise TypeError(f"an arena needs parameters of one dtype, "
+                                f"got {sorted(map(str, dtypes))}")
+            dtype = dtypes.pop() if dtypes else np.float64
+        self.starts = np.cumsum([0] + [p.data.size for _, p in self.params])
+        self.flat = np.zeros(int(self.starts[-1]), dtype)
+        for (_, p), view in zip(self.params, self.views(self.flat)):
+            if fill:
+                view[...] = p.data
+            p.data = view
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's slice of ``flat``, a buffer in this layout, in its shape."""
+        return [flat[s:e].reshape(p.data.shape)
+                for s, e, (_, p) in zip(self.starts, self.starts[1:], self.params)]
+
+    def name_at(self, index: int) -> str:
+        """The name of the parameter holding flat element ``index``."""
+        return self.params[int(np.searchsorted(self.starts, index, side="right")) - 1][0]
+
+
 class ModuleList(Module):
     def __init__(self, modules):
         super().__init__()

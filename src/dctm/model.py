@@ -15,7 +15,7 @@ from .config import DctmConfig
 from .conv import ConvLayerSpec, ConvStack, receptive_field
 from .errors import ConfigError, ShapeError
 from .fusion import ConcatFusion, GatedFusion
-from .layers import Module, capture
+from .layers import Arena, Module, capture
 from .tensor import Tensor, no_grad
 from .transformer import EncoderDecoder, RegressionHead
 
@@ -46,7 +46,9 @@ class DctmModel(Module):
     """Assembled regressor; architecture is fixed by (config, feature dims).
 
     ``rng`` draws the initial weights. With None nothing is drawn and every
-    parameter is zero, for a model whose parameters come from a checkpoint."""
+    parameter is zero, for a model whose parameters come from a checkpoint.
+    Every parameter's ``.data`` is a view of one flat buffer, ``arena``,
+    which `Adam` updates and `fit` snapshots."""
 
     def __init__(self, cfg: DctmConfig, feature_dims: dict[str, int],
                  rng: np.random.Generator | None):
@@ -77,13 +79,11 @@ class DctmModel(Module):
         self.core = EncoderDecoder(cfg.transformer, rng)
         self.head = RegressionHead(hidden, rng)
         # The one place parameters take the configured precision: modules
-        # draw in float64, so the cast gives float32 and float64 models the
-        # same initial values from the same rng draws. Without draws, fresh
-        # zeros are placeholders whose memory is first touched when a
-        # checkpoint is restored over them; a cast would read and write it all.
-        for p in self.parameters():
-            p.data = (p.data.astype(cfg.dtype, copy=False) if rng is not None
-                      else np.zeros(p.data.shape, cfg.dtype))
+        # draw in float64, and packing casts, so float32 and float64 models
+        # hold the same initial values from the same rng draws. Without
+        # draws nothing is copied, and the zeroed arena is first touched
+        # when a checkpoint is restored into it.
+        self.arena = Arena(self.named_parameters(), cfg.dtype, fill=rng is not None)
 
     def __call__(self, features: dict[str, np.ndarray], rng,
                  training: bool = False) -> Tensor:

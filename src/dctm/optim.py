@@ -1,11 +1,11 @@
-"""Adam optimizer with bias correction over flat state buffers."""
+"""Adam optimizer with bias correction over a parameter arena."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NumericalError
-from .tensor import Tensor
+from .layers import Arena
 
 # Elements per pass of the in-place update. Whole-buffer passes at the
 # default architecture (about 2M parameters) spill out of cache and run
@@ -16,50 +16,65 @@ CHUNK = 1 << 15
 class Adam:
     """Standard Adam: m/v moment tracking, bias-corrected update.
 
-    Parameters are (name, tensor) pairs of one dtype; names surface in
-    non-finite gradient aborts and keep checkpoint/state ordering stable.
-    A missing ``.grad`` counts as an all-zero gradient.
+    It updates the parameters of one `Arena` in place; their names surface
+    in non-finite gradient aborts. A missing ``.grad`` counts as an
+    all-zero gradient.
 
-    The moments and a gradient buffer are three flat arrays in the
-    parameters' dtype, updated in place ``CHUNK`` elements at a time;
-    ``m[i]`` and ``v[i]`` are views of parameter i's slice of them.
+    The moments are two flat arrays in the arena's layout and dtype;
+    ``m[i]`` and ``v[i]`` are views of parameter i's slice of them. No
+    gradient buffer is kept: a step gathers the ``.grad`` arrays ``CHUNK``
+    elements at a time into a chunk-sized scratch.
     """
 
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-6,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+    def __init__(self, arena: Arena, lr: float = 1e-6, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.arena = arena
+        self.params = arena.params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        dtypes = {p.data.dtype for _, p in self.params}
-        if len(dtypes) > 1:
-            raise TypeError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
-        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-        sizes = [p.data.size for _, p in self.params]
-        self._starts = np.cumsum([0] + sizes)[:-1]
-        total = sum(sizes)
-        self._grad, self._m, self._v = (np.zeros(total, dtype) for _ in range(3))
-        self._scratch = tuple(np.empty(min(total, CHUNK), dtype) for _ in range(2))
+        flat = arena.flat
+        self._m, self._v = np.zeros_like(flat), np.zeros_like(flat)
+        self.m = arena.views(self._m)
+        self.v = arena.views(self._v)
+        # the gathered gradient chunk, and the update's temporary
+        self._scratch = tuple(np.empty(min(flat.size, CHUNK), flat.dtype) for _ in range(2))
+        # per chunk, the (tensor, destination, part) pieces it gathers: the
+        # destination is a view of the gather scratch, in the tensor's shape
+        # if the piece is the whole tensor, else flat, for the elements
+        # ``part`` of the tensor's flattened gradient
+        gathered, starts = self._scratch[0], arena.starts.tolist()
+        self._pieces = [[] for _ in range(0, flat.size, CHUNK)]
+        for (_, p), lo, hi in zip(self.params, starts, starts[1:]):
+            for s in range(lo - lo % CHUNK, hi, CHUNK):     # the chunks [lo, hi) meets
+                a, b = max(s, lo), min(s + CHUNK, hi)
+                whole = b - a == hi - lo
+                self._pieces[s // CHUNK].append(
+                    (p, gathered[a - s:b - s].reshape(p.data.shape) if whole
+                     else gathered[a - s:b - s], None if whole else slice(a - lo, b - lo)))
 
-        def views(flat):
-            return [flat[s:s + p.data.size].reshape(p.data.shape)
-                    for s, (_, p) in zip(self._starts, self.params)]
-
-        self._grad_views = views(self._grad)
-        self.m = views(self._m)
-        self.v = views(self._v)
+    def _gather(self, k: int) -> np.ndarray:
+        """Chunk ``k`` of the flat gradient, in the first scratch buffer."""
+        for p, dst, part in self._pieces[k]:
+            if p.grad is None:
+                dst[...] = 0
+            elif part is None:
+                dst[...] = p.grad                      # any strides, no copy
+            else:
+                dst[...] = p.grad.reshape(-1)[part]
+        return self._scratch[0][:min(CHUNK, self._m.size - k * CHUNK)]
 
     def step(self) -> None:
         """One update; a non-finite gradient aborts before any state changes."""
-        for (_, p), g in zip(self.params, self._grad_views):
-            g[...] = 0 if p.grad is None else p.grad
-        finite = np.isfinite(self._grad)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            name = self.params[int(np.searchsorted(self._starts, first, side="right")) - 1][0]
-            raise NumericalError(f"non-finite gradient in parameter '{name}' at step {self.t + 1}")
+        for k in range(len(self._pieces)):
+            g = self._gather(k)
+            finite = np.isfinite(g)
+            if not finite.all():
+                name = self.arena.name_at(k * CHUNK + int(np.argmin(finite)))
+                raise NumericalError(f"non-finite gradient in parameter '{name}' "
+                                     f"at step {self.t + 1}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
@@ -67,10 +82,13 @@ class Adam:
         # Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
         # update = lr * (m/bc1) / (sqrt(v/bc2) + eps), rounded once per
         # operation in that order, as a per-tensor expression would be. The
-        # update overwrites the gradient buffer.
-        for s in range(0, self._grad.size, CHUNK):
-            g, m, v = (a[s:s + CHUNK] for a in (self._grad, self._m, self._v))
-            a, b = (buf[:g.size] for buf in self._scratch)
+        # last chunk goes first: the check above left it gathered.
+        last = len(self._pieces) - 1
+        for k in range(last, -1, -1):
+            if k < last:
+                g = self._gather(k)
+            s = slice(k * CHUNK, k * CHUNK + g.size)
+            m, v, a = self._m[s], self._v[s], self._scratch[1][:g.size]
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
             m += a
@@ -80,9 +98,8 @@ class Adam:
             v += a
             np.divide(m, bc1, out=a)
             a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            np.divide(a, b, out=g)
-        for (_, p), u in zip(self.params, self._grad_views):
-            p.data -= u
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            np.divide(a, g, out=a)
+            self.arena.flat[s] -= a

@@ -435,18 +435,19 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
     cross, x_shape, src_shape = memory is not None, x.shape, source.shape
     w_q, w_o = wq.data, wo.data
     x2 = x.data.reshape(-1, D)
+    # the packed projection's parts; the backward concatenates them again
+    # rather than keep this call's copy alive on the tape
+    w_parts = (wk.data, wv.data) if cross else (wq.data, wk.data, wv.data)
     if not cross:
         s2 = x2
-        w_in = np.concatenate((wq.data, wk.data, wv.data), axis=1)
-        qkv = x2 @ w_in
+        qkv = x2 @ np.concatenate(w_parts, axis=1)
         qkv += np.concatenate((bq.data, bk.data, bv.data))
         q, kv = qkv[:, :D], qkv[:, D:]
     else:
         s2 = memory.data.reshape(-1, D)
-        w_in = np.concatenate((wk.data, wv.data), axis=1)
         q = x2 @ w_q
         q += bq.data
-        kv = s2 @ w_in
+        kv = s2 @ np.concatenate(w_parts, axis=1)
         kv += np.concatenate((bk.data, bv.data))
     q *= scale
     dtype = q.dtype
@@ -490,7 +491,7 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
         gb_in = np.ones(len(g_in), dtype) @ g_in
         tail = (gw_in[:, -2 * D:-D], gb_in[-2 * D:-D], gw_in[:, -D:], gb_in[-D:],
                 ctx2.T @ g2, ones_q @ g2)
-        g_src = (g_in @ w_in.T).reshape(src_shape)
+        g_src = (g_in @ np.concatenate(w_parts, axis=1).T).reshape(src_shape)
         if not cross:
             return (g_src, gw_in[:, :D], gb_in[:D]) + tail
         gq = gq.reshape(-1, D)

@@ -194,7 +194,8 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
     Every job of `_window_jobs` runs through `parallel.ordered_map`. A
     window scores bit-identically at any batch row and batch size, so the
     result equals serial scoring. No job keeps attention weights or gates
-    (see `DctmModel.inspect`)."""
+    (see `DctmModel.inspect`). A non-finite score raises `NumericalError`
+    naming its session and frame."""
     preds = [[] for _ in sessions]
 
     def score(job):
@@ -207,7 +208,15 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
         for scored in run(score, _window_jobs(sessions, cfg)):
             for (i, window), scores in scored:
                 preds[i].append((window.start, scores))
-    return {s.key: overlap_average(s.num_frames, p) for s, p in zip(sessions, preds)}
+    scores = {}
+    for session, p in zip(sessions, preds):
+        trajectory = scores[session.key] = overlap_average(session.num_frames, p)
+        finite = np.isfinite(trajectory)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise NumericalError(f"non-finite score {trajectory[t]} for session "
+                                 f"{session.key} at frame {t}")
+    return scores
 
 
 def score_sessions(model: DctmModel, sessions: list[Session], cfg: DctmConfig):
@@ -250,7 +259,9 @@ class FitResult:
 
 
 def _state_of(model: DctmModel) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in model.named_parameters()}
+    """The weights as one copy of the model's arena: {name: view} in record order."""
+    arena = model.arena
+    return {name: v for (name, _), v in zip(arena.params, arena.views(arena.flat.copy()))}
 
 
 def fit(cfg: DctmConfig, train_sessions: list[Session],
@@ -272,8 +283,8 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
 
     feature_dims = feature_dims_of(train_norm)
     model = DctmModel(cfg, feature_dims, np.random.default_rng(cfg.seed))
-    params = list(model.named_parameters())
-    optimizer = Adam(params, lr=cfg.optim.lr, beta1=cfg.optim.beta1,
+    params = model.arena.params
+    optimizer = Adam(model.arena, lr=cfg.optim.lr, beta1=cfg.optim.beta1,
                      beta2=cfg.optim.beta2, eps=cfg.optim.eps)
 
     # CCC is undefined on fewer than 2 valid frames, so such windows cannot train
@@ -319,9 +330,10 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
         train_curve.append(train_ccc)
 
         if val_norm:
-            overall, per_session, _ = score_sessions(model, val_norm, cfg)
-            if not np.isfinite(overall.ccc):
-                raise NumericalError(f"non-finite validation CCC {overall.ccc} at epoch {epoch}")
+            try:
+                overall, per_session, _ = score_sessions(model, val_norm, cfg)
+            except NumericalError as e:
+                raise NumericalError(f"validation CCC nan at epoch {epoch}: {e}") from None
             val_curve.append(overall.ccc)
             if overall.ccc > best_val:
                 best_val, best_epoch = overall.ccc, epoch

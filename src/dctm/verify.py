@@ -33,7 +33,7 @@ def _fill_zero_weights(module, rng) -> None:
     zero against zero."""
     for _, p in module.named_parameters():
         if not np.any(p.data):
-            p.data = (0.1 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+            p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
 
 
 @dataclass

@@ -190,7 +190,7 @@ def test_criterion_06_overfit_smoke():
     model = DctmModel(cfg, {m: batch.features[m].shape[1] for m in batch.features},
                       np.random.default_rng(cfg.seed))
     params = list(model.named_parameters())
-    opt = Adam(params, lr=1e-3)
+    opt = Adam(model.arena, lr=1e-3)
     t0 = time.perf_counter()
     hit, final = None, 0.0
     for step in range(500):

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes and the end-to-end command flow."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
+from dctm.checkpoint import load_checkpoint, save_checkpoint
 from dctm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 TINY = [
@@ -220,6 +222,61 @@ class TestTooFewValidFrames:
         assert main(["train", "--out", str(tmp_path / "r"), f"--data.root={data}",
                      *TINY]) == EXIT_CONFIG
         assert f"session {splits['val'][0]}/expert has fewer than 2" in capsys.readouterr().err
+
+
+def poisoned_run(run, tmp_path, poison):
+    """A copy of ``run`` whose best checkpoint has ``poison(records)`` applied."""
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    path = copy / "checkpoint.best.dctm"
+    records = {name: a.copy() for name, a in load_checkpoint(path).items()}
+    poison(records)
+    save_checkpoint(path, list(records.items()))
+    return copy
+
+
+def assert_scoring_exits_2(run, tmp_path, capsys, message):
+    """evaluate and predict both exit 2 naming the fault, and write nothing."""
+    before = sorted(p.name for p in run.iterdir())
+    scores = tmp_path / "scores"
+    for command in (["evaluate"], ["predict", "--out", str(scores)]):
+        assert main([*command, "--run", str(run)]) == EXIT_NUMERICAL
+        assert re.search(message, capsys.readouterr().err)
+    assert sorted(p.name for p in run.iterdir()) == before
+    assert not scores.exists()
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_non_finite_checkpoint_record_is_named(self, flow, tmp_path, capsys, bad, seed):
+        _, run = flow
+        rng = np.random.default_rng(seed)
+        where = {}
+
+        def poison(records):
+            name = list(records)[rng.integers(len(records))]
+            index = tuple(int(rng.integers(n)) for n in records[name].shape)
+            records[name][index] = bad
+            where.update(name=name, index=index)
+
+        copy = poisoned_run(run, tmp_path, poison)
+        assert_scoring_exits_2(copy, tmp_path, capsys,
+                               rf"checkpoint tensor '{re.escape(where['name'])}' holds "
+                               rf"{re.escape(str(np.float32(bad)))} at index "
+                               rf"{re.escape(str(where['index']))}")
+
+    def test_overflowing_weight_is_caught_at_its_score(self, flow, tmp_path, capsys):
+        # finite in float32, so the checkpoint restores; the forward overflows
+        _, run = flow
+
+        def poison(records):
+            records["core.encoder.0.ff.expand.weight"][...] = 3e38
+
+        copy = poisoned_run(run, tmp_path, poison)
+        with np.errstate(all="ignore"):
+            assert_scoring_exits_2(copy, tmp_path, capsys,
+                                   r"non-finite score \S+ for session \S+ at frame \d+")
 
 
 class TestNumericalErrors:

@@ -545,7 +545,7 @@ def test_window_scores_do_not_depend_on_batch_row(precision, fusion, conv, W):
     model = DctmModel(cfg, dims, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for p in model.parameters():   # the zero-initialised output projections too
-        p.data = (p.data + 0.1 * rng.standard_normal(p.shape)).astype(cfg.dtype)
+        p.data[...] = p.data + 0.1 * rng.standard_normal(p.shape)
     pool = {m: rng.standard_normal((33, d, W)) for m, d in dims.items()}
 
     def scores(rows):

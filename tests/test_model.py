@@ -1,6 +1,7 @@
 """Assembled regressor: shapes, conv/fusion variants, introspection."""
 
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -43,7 +44,7 @@ def scramble(model, rng):
     # weight when a test needs end-to-end signal flow
     for _, p in model.named_parameters():
         if not np.any(p.data):
-            p.data = (0.1 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+            p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
 
 
 class TestForwardShapes:
@@ -263,7 +264,7 @@ class TestParameters:
         cfg = small_cfg(precision=precision, fusion=FusionConfig(kind=fusion))
         model = DctmModel(cfg, DIMS, rng)
         params = list(model.named_parameters())
-        opt = Adam(params, lr=1e-3)
+        opt = Adam(model.arena, lr=1e-3)
         feats = {m: x.astype(cfg.dtype) for m, x in batch(rng).items()}
         loss = ccc_loss(model(feats, rng, training=True), rng.random((2, 20)))
         loss.backward()
@@ -365,3 +366,28 @@ def test_branch_outputs_are_freed_at_the_forward_and_gradients_unchanged(fusion)
             # encoder: attention and feed-forward; decoder: two attentions and feed-forward
             assert dead_after_layer == [[True] * 2, [True] * 3]
     assert grads[0] == grads[1]
+
+
+def test_training_forward_holds_no_packed_projection_copy():
+    """The arrays a default-architecture float32 training forward leaves
+    alive for its backward grow with the batch; the part that does not is
+    under 1 MiB. Attention's backward concatenates ``wq|wk|wv`` again
+    rather than keep each block's 192 KiB copy (2 MiB a forward) on the tape."""
+    cfg = DctmConfig()
+    model = DctmModel(cfg, DIMS, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+
+    def held(B):
+        feats = {m: rng.standard_normal((B, d, cfg.data.window)).astype(np.float32)
+                 for m, d in DIMS.items()}
+        tracemalloc.start()
+        try:
+            out = model(feats, np.random.default_rng(2), training=True)   # noqa: F841
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held(4)   # warm the positional table and other first-call caches
+    at4, at8 = held(4), held(8)
+    assert at8 > at4 > 0
+    assert 2 * at4 - at8 < 2**20, (at4, at8)

@@ -16,6 +16,7 @@ import dctm.data
 import dctm.parallel
 import dctm.tensor
 import dctm.train
+import dctm.verify
 from dctm.checkpoint import load_checkpoint, restore_into
 from dctm.cli import EXIT_CONFIG, main
 from dctm.config import (ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig,
@@ -294,6 +295,40 @@ class TestTrainRun:
         assert meta["build"]
 
 
+def assert_views_of_the_arena(model):
+    """Every parameter's array is its contiguous slice of the model's arena."""
+    for (name, p), view in zip(model.named_parameters(), model.arena.views(model.arena.flat)):
+        assert p.data.base is model.arena.flat and p.data.ctypes.data == view.ctypes.data, name
+
+
+class TestParameterArena:
+    """No path rebinds a parameter's ``.data``: each stays a view of its
+    model's arena, which Adam updates and checkpoints restore into."""
+
+    def test_after_fit(self):
+        sessions = tiny_sessions()
+        result = fit(tiny_cfg(), sessions[:4], sessions[4:])
+        assert_views_of_the_arena(result.model)
+        state = list(result.best_state.values())
+        assert all(a.base is state[0].base for a in state)
+        assert not np.shares_memory(state[0].base, result.model.arena.flat)
+
+    def test_after_load_run_and_restore(self, run_env):
+        _, _, run, _ = run_env
+        _, model, _, _ = load_run(run)
+        assert_views_of_the_arena(model)
+        restore_into(list(model.named_parameters()), load_checkpoint(run / "checkpoint.best.dctm"))
+        assert_views_of_the_arena(model)
+        assert np.any(model.arena.flat)
+
+    def test_after_verify_fills_zero_weights(self):
+        model = DctmModel(tiny_cfg(), {"head": 4, "pose": 5, "voice": 3},
+                          np.random.default_rng(0))
+        dctm.verify._fill_zero_weights(model, np.random.default_rng(1))
+        assert_views_of_the_arena(model)
+        assert all(np.any(p.data) for p in model.parameters() if p.data.ndim == 2)
+
+
 class TestEvaluateRun:
     def test_matches_training_report_exactly(self, run_env):
         _, _, run, report = run_env
@@ -421,7 +456,7 @@ def _scoring_setup(precision, fusion):
     rng = np.random.default_rng(8)
     model = DctmModel(cfg, feature_dims_of(sessions), rng)
     for _, p in model.named_parameters():
-        p.data = (0.2 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+        p.data[...] = 0.2 * rng.standard_normal(p.data.shape)
     windows = [w for s in sessions for w in make_windows(s, cfg.data.window, cfg.data.stride)]
     assert len(windows) == 61 and len(windows) % JOB_WINDOWS != 0
     return cfg, model, sessions, windows
