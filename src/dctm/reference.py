@@ -1,7 +1,10 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here is deliberately written as plain loops / two-pass
-formulas, sharing no code with the production paths it checks.
+formulas, sharing no code with the production paths it checks. The
+``numpy_*`` forwards are analytic, so ``complex_step_grads`` can
+differentiate them: they take complex arrays, their softmax is unshifted
+and their relu is a multiply by a mask.
 """
 
 from __future__ import annotations
@@ -103,3 +106,91 @@ def ridge_regression_ccc(train_x: np.ndarray, train_y: np.ndarray,
     beta = np.linalg.solve(xc.T @ xc + lam * np.eye(xc.shape[1]), xc.T @ (train_y - my))
     pred = (test_x - mx) @ beta + my
     return ccc_two_pass(pred, test_y)
+
+
+def complex_step_grads(f, arrays, h=1e-30):
+    """Every input's gradient of the real scalar ``f`` at float64 ``arrays``.
+
+    Complex step (Squire & Trapp 1998): f(x + ih e_k) = f(x) + ih df/dx_k
+    + O(h^2), so df/dx_k = Im f / h. Nothing is subtracted, so the result is
+    exact to rounding. ``f`` must be analytic: no abs, max or comparisons.
+    """
+    z = [np.asarray(a, dtype=np.complex128) for a in arrays]
+    grads = []
+    for a in z:
+        g = np.empty(a.shape)
+        for k in np.ndindex(a.shape):
+            a[k] += 1j * h
+            g[k] = f(z).imag / h
+            a[k] -= 1j * h
+        grads.append(g)
+    return grads
+
+
+def numpy_layer_norm(x, gain, bias):
+    """LayerNorm in plain NumPy: population variance, eps 1e-5."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(var + 1e-5) * gain + bias
+
+
+def numpy_attention_block(x, memory, params, heads):
+    """``attention_block``'s forward in plain NumPy, per head, with the softmax
+    unshifted so that it stays analytic for the complex-step reference."""
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    source = x if memory is None else memory
+    q, k, v = x @ wq + bq, source @ wk + bk, source @ wv + bv
+    d = x.shape[-1] // heads
+    ctx = []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        e = np.exp(q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(d))
+        ctx.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(ctx, axis=-1) @ wo + bo
+
+
+def numpy_feed_forward(x, w1, b1, w2, b2):
+    """``relu(x w1 + b1) w2 + b2`` in plain NumPy. The relu is a multiply by
+    the mask of positive real parts, which the complex step leaves unchanged."""
+    h = x @ w1 + b1
+    return (h * (h.real > 0)) @ w2 + b2
+
+
+def numpy_gated_unit(x1, x2, w1, b1, w2, b2, wz, bz):
+    """GMU in plain NumPy: z * tanh(x1 w1 + b1) + (1 - z) * tanh(x2 w2 + b2),
+    z = sigmoid([x1; x2] wz + bz)."""
+    z = 1.0 / (1.0 + np.exp(-(np.concatenate([x1, x2], axis=-1) @ wz + bz)))
+    return z * np.tanh(x1 @ w1 + b1) + (1.0 - z) * np.tanh(x2 @ w2 + b2)
+
+
+def numpy_conv1d(x, w, bias, dilation):
+    """Dilated conv as a direct sum over output frames and taps, in plain NumPy."""
+    B, _, T = x.shape
+    C_out, _, K = w.shape
+    pad = dilation * (K - 1) // 2
+    xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    out = np.zeros((B, C_out, T), dtype=np.result_type(x, w)) + bias[:, None]
+    for p in range(T):
+        for k in range(K):
+            out[:, :, p] += xpad[:, :, p + dilation * k] @ w[:, :, k].T
+    return out
+
+
+def numpy_ccc_loss(pred, target, mask=None):
+    """1 - CCC per window, batch mean, in plain NumPy: ``ccc_loss``'s forward,
+    the same ops in the same order, so its value must match byte for byte.
+    No ``mask`` keeps every frame."""
+    dtype = pred.dtype
+    m = np.ones(pred.shape, dtype) if mask is None else np.asarray(mask, dtype=dtype)
+    tgt = np.asarray(target, dtype=dtype)
+    inv_n = (1.0 / m.sum(axis=1, keepdims=True)).astype(dtype)
+    t_mean = (tgt * m).sum(axis=1, keepdims=True) * inv_n
+    t_dev = (tgt - t_mean) * m
+    t_var = (t_dev * t_dev).sum(axis=1, keepdims=True) * inv_n
+    mean_p = (pred * m).sum(axis=1, keepdims=True) * inv_n
+    dp = (pred - mean_p) * m
+    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_n
+    cov = (dp * t_dev).sum(axis=1, keepdims=True) * inv_n
+    gap = mean_p - t_mean
+    denom = var_p + t_var + gap * gap
+    return (1.0 - (cov * 2.0) / denom).mean()

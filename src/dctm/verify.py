@@ -3,8 +3,10 @@ operation, convolution and concordance oracles, the receptive-field
 perturbation probe, and attention sanity. The CLI `verify` command runs
 `run_all` and exits nonzero if any check fails.
 
-All checks run in float64; gradient tolerances are rel. err <= 1e-4
-against central finite differences.
+Each gradient check runs in float64 and in float32 against complex-step
+derivatives of a plain NumPy forward (``reference.complex_step_grads``),
+which are exact to rounding, at ``TOL``: 1e-12 and 1e-5 relative to
+``1 + |want|``.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
-from .gradcheck import check_gradients, scalarize
 from .layers import capture
 from .metrics import ccc, ccc_loss
-from .reference import attention_single_head_loop, ccc_two_pass, conv1d_direct, conv1d_flip
+from .reference import (attention_single_head_loop, ccc_two_pass, complex_step_grads,
+                        conv1d_direct, conv1d_flip, numpy_attention_block, numpy_ccc_loss,
+                        numpy_conv1d, numpy_feed_forward, numpy_gated_unit, numpy_layer_norm)
 from .tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
                      residual_norm)
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
 
-GRAD_RTOL = 1e-4
+# the largest |got - want| / (1 + |want|) a gradient check passes, per dtype
+TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
 def _fill_zero_weights(module, rng) -> None:
@@ -58,9 +62,32 @@ def _timed(name: str, fn) -> CheckResult:
 # ---------------------------------------------------------------------------
 # gradient checks, one entry per differentiable operation
 
+def gradient_error(arrays, op, reference, dtype, rng) -> float:
+    """Worst ``|got - want| / (1 + |want|)`` over the output of ``op`` and every
+    input's gradient of ``sum(op(...) * probe)``, a random ``probe``, with
+    ``arrays`` cast to ``dtype``. ``want`` is ``reference``, a NumPy forward
+    of the same map, and its complex-step gradients at the cast values
+    widened to float64. Asserts that the output and gradients keep ``dtype``.
+    """
+    ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = op(ts)
+    probe = rng.standard_normal(out.shape).astype(dtype)
+    (out * Tensor(probe)).sum().backward()
+    got = [out.data] + [t.grad for t in ts]
+    for i, g in enumerate(got):
+        what = f"input {i - 1}'s gradient" if i else "the output"
+        assert g is not None and g.dtype == dtype, \
+            f"{what} is {getattr(g, 'dtype', None)} for {np.dtype(dtype)} inputs"
+    wide = [t.data.astype(np.float64) for t in ts]
+    probe = probe.astype(np.float64)
+    want = [reference(wide)] + complex_step_grads(lambda z: (reference(z) * probe).sum(), wide)
+    return max(float(np.max(np.abs(g - w) / (1.0 + np.abs(w)))) for g, w in zip(got, want))
+
+
 def _grad_cases(rng):
     """(name, case) pairs covering every op's backward; each ``case()`` draws
-    fresh arrays and returns ``(arrays, op)``."""
+    fresh float64 arrays and returns ``(arrays, op, reference)``: the op over
+    Tensors and its NumPy forward over arrays, complex ones included."""
 
     def away_from_zero(shape, margin):
         x = rng.standard_normal(shape)
@@ -76,9 +103,15 @@ def _grad_cases(rng):
         return [rng.standard_normal((B, T, D)), rng.standard_normal((D, O)),
                 rng.standard_normal(O)]
 
+    def spread(rows, margin=0.5):
+        """``rows`` with each entry moved ``margin`` further from its row's mean.
+        A nearly constant row is ill-conditioned for layer norm: its float32
+        input gradient would lose more digits than the float32 tolerance."""
+        return rows + margin * np.sign(rows - rows.mean(axis=-1, keepdims=True))
+
     def layer_norm_arrays():
         B, T, D = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(2, 8))
-        return [rng.standard_normal((B, T, D)), rng.standard_normal(D),
+        return [spread(rng.standard_normal((B, T, D))), rng.standard_normal(D),
                 rng.standard_normal(D)]
 
     dropout_turn = itertools.cycle([False, True])
@@ -86,11 +119,14 @@ def _grad_cases(rng):
     def residual_norm_case():
         x, gain, bias = layer_norm_arrays()
         y = rng.standard_normal(x.shape)
-        drop = None
+        drop, multiplier = None, 1.0
         if next(dropout_turn):
             # every other case drops a branch cell with probability 0.3
             drop = (rng.random(x.shape) >= 0.3, 1.0 / 0.7)
-        return ([x, y, gain, bias], lambda ts: residual_norm(ts[0], ts[1], drop, ts[2], ts[3]))
+            multiplier = drop[0] * drop[1]
+        x = spread(x + y * multiplier) - y * multiplier   # spread the normalized sum
+        return ([x, y, gain, bias], lambda ts: residual_norm(ts[0], ts[1], drop, ts[2], ts[3]),
+                lambda z: numpy_layer_norm(z[0] + z[1] * multiplier, z[2], z[3]))
 
     def conv_case():
         B, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
@@ -99,13 +135,14 @@ def _grad_cases(rng):
         arrays = [rng.standard_normal((B, ci, T)), rng.standard_normal((co, ci, K)),
                   rng.standard_normal(co)]
         dil = int(rng.integers(1, 4))
-        return arrays, lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil)
+        return (arrays, lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil),
+                lambda z: numpy_conv1d(*z, dil))
 
     def projections(*shapes):
         """Flat (weight, bias) arrays for weights of ``shapes``, each weight
-        scaled by 1/sqrt(fan-in) like Xavier's."""
-        return [a for shape in shapes for a in (rng.standard_normal(shape) / np.sqrt(shape[0]),
-                                                rng.standard_normal(shape[1]))]
+        and bias scaled by 1/sqrt(fan-in) like Xavier's."""
+        return [a / np.sqrt(shape[0]) for shape in shapes
+                for a in (rng.standard_normal(shape), rng.standard_normal(shape[1]))]
 
     def pairs(ts):
         return list(zip(ts[0::2], ts[1::2]))
@@ -117,7 +154,8 @@ def _grad_cases(rng):
             x = rng.standard_normal((B, T, D))
             params = projections((D, F), (F, D))
             if np.abs(x @ params[0] + params[1]).min() > 1e-3:
-                return [x] + params, lambda ts: feed_forward(*ts)
+                return ([x] + params, lambda ts: feed_forward(*ts),
+                        lambda z: numpy_feed_forward(*z))
 
     cross_turn = itertools.cycle([False, True])
 
@@ -126,26 +164,37 @@ def _grad_cases(rng):
         hidden = heads * int(rng.integers(2, 5))
         B, Tq = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         params = projections(*[(hidden, hidden)] * 4)
-        x = rng.standard_normal((B, Tq, hidden))
+        # inputs at half scale: a sharper softmax would cost its float32
+        # backward more digits than the float32 tolerance allows
+        x = 0.5 * rng.standard_normal((B, Tq, hidden))
         if not next(cross_turn):
             return ([x] + params,
-                    lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads)[0])
+                    lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads)[0],
+                    lambda z: numpy_attention_block(z[0], None, z[1:], heads))
         # every other case is cross-attention to a memory of another length
         Tk = Tq + int(rng.integers(1, 4))
-        return ([x, rng.standard_normal((B, Tk, hidden))] + params,
-                lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads)[0])
+        return ([x, 0.5 * rng.standard_normal((B, Tk, hidden))] + params,
+                lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads)[0],
+                lambda z: numpy_attention_block(z[0], z[1], z[2:], heads))
 
     def gmu_case():
         d1, d2, out = (int(v) for v in rng.integers(1, 5, size=3))
         params = projections((d1, out), (d2, out), (d1 + d2, out))
         return ([rng.standard_normal((1, 3, d1)), rng.standard_normal((1, 3, d2))] + params,
-                lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0])
+                lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0],
+                lambda z: numpy_gated_unit(*z))
 
     def head_case():
+        # checked inputs stand in for the head's zero-initialized weight and bias
         hidden = int(rng.integers(2, 9))
         head = RegressionHead(hidden, rng)
-        _fill_zero_weights(head, rng)
-        return ([rng.standard_normal((2, 4, hidden))], lambda ts: head(ts[0]))
+
+        def op(ts):
+            head.out.weight, head.out.bias = ts[1], ts[2]
+            return head(ts[0])
+
+        return ([rng.standard_normal((2, 4, hidden))] + projections((hidden, 1)), op,
+                lambda z: (1.0 / (1.0 + np.exp(-(z[0] @ z[1] + z[2]))))[..., 0])
 
     def ccc_loss_case():
         B, W = int(rng.integers(1, 4)), int(rng.integers(3, 10))
@@ -153,17 +202,22 @@ def _grad_cases(rng):
         # a partial mask; two columns stay in so every window keeps 2 frames
         mask = rng.random((B, W)) < 0.6
         mask[:, rng.choice(W, size=2, replace=False)] = True
-        return ([rng.random((B, W))], lambda ts: ccc_loss(ts[0], target, mask))
+        return ([rng.random((B, W))], lambda ts: ccc_loss(ts[0], target, mask),
+                lambda z: numpy_ccc_loss(z[0], target, mask))
 
     return [
-        ("add", lambda: (elementwise(2), lambda ts: ts[0] + ts[1])),
-        ("mul", lambda: (elementwise(2), lambda ts: ts[0] * ts[1])),
-        ("tanh", lambda: (elementwise(1), lambda ts: ts[0].tanh())),
-        ("sigmoid", lambda: (elementwise(1), lambda ts: ts[0].sigmoid())),
-        ("relu", lambda: (elementwise(1, margin=0.2), lambda ts: ts[0].relu())),
-        ("linear", lambda: (linear_arrays(), lambda ts: linear(*ts))),
+        ("add", lambda: (elementwise(2), lambda ts: ts[0] + ts[1], lambda z: z[0] + z[1])),
+        ("mul", lambda: (elementwise(2), lambda ts: ts[0] * ts[1], lambda z: z[0] * z[1])),
+        ("tanh", lambda: (elementwise(1), lambda ts: ts[0].tanh(), lambda z: np.tanh(z[0]))),
+        ("sigmoid", lambda: (elementwise(1), lambda ts: ts[0].sigmoid(),
+                             lambda z: 1.0 / (1.0 + np.exp(-z[0])))),
+        ("relu", lambda: (elementwise(1, margin=0.2), lambda ts: ts[0].relu(),
+                          lambda z: z[0] * (z[0].real > 0))),
+        ("linear", lambda: (linear_arrays(), lambda ts: linear(*ts),
+                            lambda z: z[0] @ z[1] + z[2])),
         ("feed_forward", feed_forward_case),
-        ("layer_norm", lambda: (layer_norm_arrays(), lambda ts: layer_norm(*ts))),
+        ("layer_norm", lambda: (layer_norm_arrays(), lambda ts: layer_norm(*ts),
+                                lambda z: numpy_layer_norm(*z))),
         ("residual_norm", residual_norm_case),
         ("dilated_conv1d", conv_case),
         ("attention", attention_case),
@@ -174,19 +228,21 @@ def _grad_cases(rng):
 
 
 def check_gradient_suite(n_cases: int = 20, seed: int = 0) -> list[CheckResult]:
-    """Finite-difference checks: one CheckResult per operation."""
+    """Complex-step checks in float64 and float32: one CheckResult per operation."""
     rng = np.random.default_rng(seed)
     results = []
     for name, case in _grad_cases(rng):
 
         def run(case=case):
-            worst = 0.0
+            worst = dict.fromkeys(TOL, 0.0)
             for _ in range(n_cases):
-                arrays, op = case()
-                build = scalarize(op, arrays, rng)
-                err = check_gradients(build, arrays, rtol=GRAD_RTOL)
-                worst = max(worst, err)
-            return f"{n_cases} configs, worst rel err {worst:.2e}"
+                arrays, op, reference = case()
+                for dtype, tol in TOL.items():
+                    err = gradient_error(arrays, op, reference, dtype, rng)
+                    assert err <= tol, f"{np.dtype(dtype)}: rel err {err:.2e} > {tol:.0e}"
+                    worst[dtype] = max(worst[dtype], err)
+            return f"{n_cases} configs, worst rel err " + ", ".join(
+                f"{np.dtype(d)} {w:.2e}" for d, w in worst.items())
 
         results.append(_timed(f"grad/{name}", run))
     return results

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from dctm.conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
 from dctm.errors import ConfigError, ShapeError
-from dctm.gradcheck import check_gradients, scalarize
 from dctm.reference import conv1d_direct, conv1d_flip
 from dctm.tensor import Tensor
 
@@ -82,16 +81,6 @@ class TestDilatedConv:
     def test_length_preserved(self, T, K, dil):
         out = conv(np.ones((1, 1, T)), np.ones((1, 1, K)), dilation=dil)
         assert out.shape == (1, 1, T)
-
-    def test_gradients(self, rng):
-        for _ in range(8):
-            x = rng.standard_normal((2, 3, 7))
-            w = rng.standard_normal((2, 3, 3))
-            b = rng.standard_normal(2)
-            dil = int(rng.integers(1, 4))
-            build = scalarize(
-                lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil), [x, w, b], rng)
-            check_gradients(build, [x, w, b])
 
 
 class TestSpecValidation:

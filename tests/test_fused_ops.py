@@ -9,7 +9,8 @@ gradient, and its dtype: a float32 input gives a float32 output and
 float32 gradients. The ``feed_forward``, ``layer_norm``,
 ``attention_block``, ``gated_unit``, ``dilated_conv1d`` and ``ccc_loss``
 references differentiate plain NumPy forwards by complex step, which is
-exact to rounding. The kernels write into buffers they allocate; no
+exact to rounding; both live in ``dctm.reference``, which ``dctm verify``
+shares. The kernels write into buffers they allocate; no
 forward or backward may write into an input's ``.data``.
 """
 
@@ -21,19 +22,22 @@ import pytest
 
 import dctm.metrics
 import dctm.tensor
+from dctm.cli import EXIT_VERIFY, main
 from dctm.config import ConvConfig, DctmConfig, FusionConfig
 from dctm.conv import dilated_conv1d
 from dctm.errors import ShapeError
 from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel
-from dctm.reference import attention_single_head_loop
+from dctm.reference import (attention_single_head_loop, complex_step_grads, numpy_attention_block,
+                            numpy_ccc_loss, numpy_conv1d, numpy_feed_forward, numpy_gated_unit,
+                            numpy_layer_norm)
 from dctm.tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
                          residual_norm)
 from dctm.transformer import TransformerSettings
+from dctm.verify import TOL
 
-TOL = {np.float64: 1e-12, np.float32: 1e-5}
-DTYPES = [np.float64, np.float32]
+DTYPES = list(TOL)
 
 # (B, T) per case; "transposed" feeds a non-contiguous (B, D, T) -> (B, T, D) view
 CASES = {"batched": (3, 4), "single": (1, 1), "transposed": (2, 5)}
@@ -55,25 +59,6 @@ def grads_of(op, arrays, probe):
     out = op(ts)
     (out * Tensor(probe.astype(out.dtype))).sum().backward()
     return out, [t.grad for t in ts]
-
-
-def complex_step_grads(f, arrays, h=1e-30):
-    """Every input's gradient of the real scalar ``f`` at float64 ``arrays``.
-
-    Complex step (Squire & Trapp 1998): f(x + ih e_k) = f(x) + ih df/dx_k
-    + O(h^2), so df/dx_k = Im f / h. Nothing is subtracted, so the result is
-    exact to rounding. ``f`` must be analytic: no abs, max or comparisons.
-    """
-    z = [np.asarray(a, dtype=np.complex128) for a in arrays]
-    grads = []
-    for a in z:
-        g = np.empty(a.shape)
-        for k in np.ndindex(a.shape):
-            a[k] += 1j * h
-            g[k] = f(z).imag / h
-            a[k] -= 1j * h
-        grads.append(g)
-    return grads
 
 
 def assert_close(got, want, dtype):
@@ -110,14 +95,9 @@ def test_linear_rejects_feature_mismatch():
         linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))), Tensor(np.zeros(6)))
 
 
-def numpy_layer_norm(x, gain, bias):
-    """LayerNorm in plain NumPy: population variance, eps 1e-5."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + 1e-5) * gain + bias
-
-
-def assert_layer_norm_matches(rng, case, dtype):
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
     D = 7
     x = draw_input(rng, case, D, dtype)
     gain = rng.standard_normal(D).astype(dtype)
@@ -133,15 +113,10 @@ def assert_layer_norm_matches(rng, case, dtype):
         assert_close(got, ref, dtype)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", list(CASES))
-def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
-    assert_layer_norm_matches(rng, case, dtype)
-
-
-def test_complex_step_reference_sees_a_1e9_layer_norm_error(rng, monkeypatch):
-    """An input gradient off by 1e-9 relative fails the float64 comparison;
-    central differences at ``dctm verify``'s 1e-4 cannot see it."""
+def test_complex_step_reference_sees_a_1e9_layer_norm_error(monkeypatch, capsys):
+    """An input gradient off by 1e-9 relative fails ``dctm verify``'s float64
+    comparison in the two ops that share ``_layer_norm_backward``, and only
+    there; central differences at relative 1e-4 could not see it."""
     true_backward = dctm.tensor._layer_norm_backward
 
     def skewed(*args):
@@ -149,28 +124,13 @@ def test_complex_step_reference_sees_a_1e9_layer_norm_error(rng, monkeypatch):
         return gx * (1.0 + 1e-9), ggain, gbias
 
     monkeypatch.setattr(dctm.tensor, "_layer_norm_backward", skewed)
-    with pytest.raises(AssertionError):
-        assert_layer_norm_matches(rng, "batched", np.float64)
+    assert main(["verify"]) == EXIT_VERIFY
+    assert "FAILED (2/18): grad/layer_norm, grad/residual_norm\n" in capsys.readouterr().out
 
 
 def pairs(ts):
     """Consecutive (weight, bias) pairs of a flat parameter list."""
     return list(zip(ts[0::2], ts[1::2]))
-
-
-def numpy_attention_block(x, memory, params, heads):
-    """``attention_block``'s forward in plain NumPy, per head, with the softmax
-    unshifted so that it stays analytic for the complex-step reference."""
-    wq, bq, wk, bk, wv, bv, wo, bo = params
-    source = x if memory is None else memory
-    q, k, v = x @ wq + bq, source @ wk + bk, source @ wv + bv
-    d = x.shape[-1] // heads
-    ctx = []
-    for h in range(heads):
-        cols = slice(h * d, (h + 1) * d)
-        e = np.exp(q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(d))
-        ctx.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
-    return np.concatenate(ctx, axis=-1) @ wo + bo
 
 
 # (B, Tq, Tk): self-attention, cross-attention and a single frame
@@ -264,13 +224,6 @@ def test_attention_rejects_mismatched_shapes():
         attention_block(x, None, square, heads=3)
 
 
-def numpy_feed_forward(x, w1, b1, w2, b2):
-    """``relu(x w1 + b1) w2 + b2`` in plain NumPy. The relu is a multiply by
-    the mask of positive real parts, which the complex step leaves unchanged."""
-    h = x @ w1 + b1
-    return (h * (h.real > 0)) @ w2 + b2
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("case", list(CASES))
 def test_feed_forward_matches_numpy_and_complex_step(rng, case, dtype):
@@ -296,13 +249,6 @@ def test_feed_forward_rejects_mismatched_weights():
     with pytest.raises(ShapeError, match="feed_forward"):
         feed_forward(x, Tensor(np.zeros((4, 6))), Tensor(np.zeros(6)),
                      Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))
-
-
-def numpy_gated_unit(x1, x2, w1, b1, w2, b2, wz, bz):
-    """GMU in plain NumPy: z * tanh(x1 w1 + b1) + (1 - z) * tanh(x2 w2 + b2),
-    z = sigmoid([x1; x2] wz + bz)."""
-    z = 1.0 / (1.0 + np.exp(-(np.concatenate([x1, x2], axis=-1) @ wz + bz)))
-    return z * np.tanh(x1 @ w1 + b1) + (1.0 - z) * np.tanh(x2 @ w2 + b2)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -391,19 +337,6 @@ def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     out = norm(x, y, None)
     assert out._node.parents == (x, y, norm.gain, norm.bias)
     assert np.array_equal(out.data, norm(x + y).data)
-
-
-def numpy_conv1d(x, w, bias, dilation):
-    """Dilated conv as a direct sum over output frames and taps, in plain NumPy."""
-    B, _, T = x.shape
-    C_out, _, K = w.shape
-    pad = dilation * (K - 1) // 2
-    xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    out = np.zeros((B, C_out, T), dtype=np.result_type(x, w)) + bias[:, None]
-    for p in range(T):
-        for k in range(K):
-            out[:, :, p] += xpad[:, :, p + dilation * k] @ w[:, :, k].T
-    return out
 
 
 # (B, C_in, C_out, T, K, dilation); "short" cases have T below the padding of 8
@@ -560,25 +493,6 @@ def test_window_scores_do_not_depend_on_batch_row(precision, fusion, conv, W):
             assert np.array_equal(scores(rows)[row], alone), (n, row)
 
 
-def numpy_ccc_loss(pred, target, mask):
-    """1 - CCC per window, batch mean, in plain NumPy: ``ccc_loss``'s forward,
-    the same ops in the same order, so its value must match byte for byte."""
-    dtype = pred.dtype
-    m = np.asarray(mask, dtype=dtype)
-    tgt = np.asarray(target, dtype=dtype)
-    inv_n = (1.0 / m.sum(axis=1, keepdims=True)).astype(dtype)
-    t_mean = (tgt * m).sum(axis=1, keepdims=True) * inv_n
-    t_dev = (tgt - t_mean) * m
-    t_var = (t_dev * t_dev).sum(axis=1, keepdims=True) * inv_n
-    mean_p = (pred * m).sum(axis=1, keepdims=True) * inv_n
-    dp = (pred - mean_p) * m
-    var_p = (dp * dp).sum(axis=1, keepdims=True) * inv_n
-    cov = (dp * t_dev).sum(axis=1, keepdims=True) * inv_n
-    gap = mean_p - t_mean
-    denom = var_p + t_var + gap * gap
-    return (1.0 - (cov * 2.0) / denom).mean()
-
-
 def partial_mask(rng, B, W):
     """Random (B, W) mask; every window keeps at least 2 frames, one keeps exactly 2."""
     mask = rng.random((B, W)) < 0.6
@@ -597,16 +511,17 @@ class TestCccLoss:
         return pred, rng.random((self.B, self.W)), partial_mask(rng, self.B, self.W)
 
     def assert_gradient_matches(self, loss_fn, rng, dtype):
-        pred, target, mask = self.draw(rng, dtype)
-        p = Tensor(pred, requires_grad=True)
-        loss = loss_fn(p, target, mask)
-        assert len(loss._node.parents) == 1 and loss._node.parents[0] is p
-        (loss * 3.0).backward()
-        assert p.grad.dtype == dtype
-        [ref] = complex_step_grads(lambda z: numpy_ccc_loss(z[0], target, mask),
-                                   [pred.astype(np.float64)])
-        assert_close(p.grad, 3.0 * ref, dtype)
-        assert not np.any(p.grad[~mask])
+        pred, target, partial = self.draw(rng, dtype)
+        for mask in (partial, None):   # None: the unmasked default
+            p = Tensor(pred, requires_grad=True)
+            loss = loss_fn(p, target, mask)
+            assert len(loss._node.parents) == 1 and loss._node.parents[0] is p
+            (loss * 3.0).backward()
+            assert p.grad.dtype == dtype
+            [ref] = complex_step_grads(lambda z: numpy_ccc_loss(z[0], target, mask),
+                                       [pred.astype(np.float64)])
+            assert_close(p.grad, 3.0 * ref, dtype)
+            assert mask is None or not np.any(p.grad[~mask])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_value_is_the_composed_formula_bit_for_bit(self, rng, dtype):
