@@ -378,29 +378,23 @@ def _frames_of(a: np.ndarray, start: int, W: int) -> np.ndarray:
     return padded
 
 
-def batch_windows(windows: list[Window], batch_size: int,
-                  dtype=np.float32) -> list[WindowBatch]:
-    """Gather windows into dense batches, preserving the given order.
+def batch_windows(windows: list[Window], dtype=np.float32) -> WindowBatch:
+    """Gather windows into one dense batch, in the given order.
 
     Each modality's (B, C_m, W) block, and the (B, W) labels, is written by
     one ``np.concatenate`` of the rows' views of their sessions' arrays,
     whatever session each row comes from, so a value is cast once. Padding
-    and unlabeled frames are zero. Windows of one batch may come from
-    different sessions with the same modalities."""
-    batches = []
-    for i in range(0, len(windows), batch_size):
-        chunk = windows[i:i + batch_size]
-        W = chunk[0].mask.shape[0]
-        unlabeled = np.zeros(W)
-        feats = {m: np.concatenate([_frames_of(w.session.streams[m].features, w.start, W).T[None]
-                                    for w in chunk], dtype=dtype)
-                 for m in chunk[0].session.streams}
-        labels = np.concatenate([(unlabeled if w.session.labels is None
-                                  else _frames_of(w.session.labels, w.start, W))[None]
-                                 for w in chunk], dtype=dtype)
-        batches.append(WindowBatch(features=feats, labels=labels,
-                                   mask=np.stack([w.mask for w in chunk])))
-    return batches
+    and unlabeled frames are zero. The windows may come from different
+    sessions with the same modalities."""
+    W = windows[0].mask.shape[0]
+    unlabeled = np.zeros(W)
+    feats = {m: np.concatenate([_frames_of(w.session.streams[m].features, w.start, W).T[None]
+                                for w in windows], dtype=dtype)
+             for m in windows[0].session.streams}
+    labels = np.concatenate([(unlabeled if w.session.labels is None
+                              else _frames_of(w.session.labels, w.start, W))[None]
+                             for w in windows], dtype=dtype)
+    return WindowBatch(features=feats, labels=labels, mask=np.stack([w.mask for w in windows]))
 
 
 def overlap_average(T: int, predictions) -> np.ndarray:

@@ -50,18 +50,11 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_parameters(prefix=f"{prefix}{name}.")
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def expose(self, array: np.ndarray) -> None:
         """Hand ``array`` to this thread's open `capture`, if there is one."""
         seen = getattr(_capture, "seen", None)
         if seen is not None:
             seen[self] = array
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
 
 class Arena:

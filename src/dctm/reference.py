@@ -134,19 +134,21 @@ def numpy_layer_norm(x, gain, bias):
     return centered / np.sqrt(var + 1e-5) * gain + bias
 
 
-def numpy_attention_block(x, memory, params, heads):
+def numpy_attention_block(x, memory, w_in, b_in, w_out, b_out, heads):
     """``attention_block``'s forward in plain NumPy, per head, with the softmax
-    unshifted so that it stays analytic for the complex-step reference."""
-    wq, bq, wk, bk, wv, bv, wo, bo = params
+    unshifted so that it stays analytic for the complex-step reference.
+    ``w_in`` and ``b_in`` are the packed q|k|v projection."""
+    D = x.shape[-1]
     source = x if memory is None else memory
-    q, k, v = x @ wq + bq, source @ wk + bk, source @ wv + bv
-    d = x.shape[-1] // heads
+    q, k, v = (a @ w_in[:, i * D:(i + 1) * D] + b_in[i * D:(i + 1) * D]
+               for i, a in enumerate((x, source, source)))
+    d = D // heads
     ctx = []
     for h in range(heads):
         cols = slice(h * d, (h + 1) * d)
         e = np.exp(q[..., cols] @ k[..., cols].transpose(0, 2, 1) / np.sqrt(d))
         ctx.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
-    return np.concatenate(ctx, axis=-1) @ wo + bo
+    return np.concatenate(ctx, axis=-1) @ w_out + b_out
 
 
 def numpy_feed_forward(x, w1, b1, w2, b2):

@@ -394,20 +394,22 @@ def residual_norm(x: Tensor, y: Tensor, drop: tuple | None, gain: Tensor,
     return Tensor._op(out, (x, y, gain, bias), bw)
 
 
-def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tuple],
-                    heads: int) -> tuple[Tensor, np.ndarray]:
+def attention_block(x: Tensor, memory: Tensor | None, w_in: Tensor, b_in: Tensor,
+                    w_out: Tensor, b_out: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """A multi-head attention block as one tape node: the q/k/v projections,
     scaled dot-product attention in ``heads`` subspaces of D / heads, and the
     output projection.
 
     ``x`` is (B, Tq, D) and ``memory`` (B, Tk, D), or None for
-    self-attention. ``projections`` holds the (weight, bias) pairs of the q,
-    k, v and output projections, each weight (D, D). Returns the output
-    (B, Tq, D) and the softmax weights (B, heads, Tq, Tk).
+    self-attention. ``w_in`` (D, 3D) and ``b_in`` (3D,) are the packed q|k|v
+    projection, in that column order; ``w_out`` (D, D) and ``b_out`` (D,) the
+    output projection. Returns the output (B, Tq, D) and the softmax weights
+    (B, heads, Tq, Tk).
 
-    Self-attention projects ``x`` once through the (D, 3D) concatenation
-    ``wq|wk|wv``; cross-attention projects q from ``x`` and the packed
-    ``wk|wv`` from ``memory``. Heads are strided views of the projections,
+    Self-attention projects ``x`` through ``w_in`` in one GEMM;
+    cross-attention projects q from ``x`` through the column view
+    ``w_in[:, :D]`` and k|v from ``memory`` through ``w_in[:, D:]``. Nothing
+    is copied to pack them. Heads are strided views of the projections,
     and the 1/sqrt(d) scale is applied to q in place. The scores are built
     transposed, (B, heads, Tk, Tq), so the in-place softmax reduces over
     axis -2: the max with NumPy, vectorised along the contiguous query axis,
@@ -417,38 +419,31 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
 
     The backward runs the softmax Jacobian-vector product
     ``p * (gp - sum(gp * p))`` in the same layout, and writes the q, k and
-    v gradients into one buffer laid out like the packed projection. The
-    input gradient and the packed weight gradient are then one GEMM each,
-    and the weight and bias gradients are split into views.
+    v gradients into one buffer laid out like the packed projection. For
+    self-attention the input gradient and the (D, 3D) weight gradient are
+    then one GEMM each; for cross-attention the q and k|v parts write the
+    column blocks of the weight gradient.
     """
-    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = projections
     source = x if memory is None else memory
     if (x.ndim != 3 or source.ndim != 3 or source.shape[0] != x.shape[0]
             or source.shape[2] != x.shape[2] or x.shape[2] % heads
-            or any(w.shape != (x.shape[2],) * 2 for w in (wq.data, wk.data, wv.data, wo.data))):
+            or w_in.shape != (x.shape[2], 3 * x.shape[2]) or w_out.shape != (x.shape[2],) * 2):
         raise ShapeError(f"attention: x {x.shape}, memory {source.shape}, weights "
-                         f"{[w.shape for w in (wq, wk, wv, wo)]} with {heads} heads")
+                         f"{w_in.shape} and {w_out.shape} with {heads} heads")
     B, Tq, D = x.shape
     Tk = source.shape[1]
     d = D // heads
     scale = 1.0 / math.sqrt(d)
-    cross, x_shape, src_shape = memory is not None, x.shape, source.shape
-    w_q, w_o = wq.data, wo.data
+    cross, w, w_o = memory is not None, w_in.data, w_out.data
     x2 = x.data.reshape(-1, D)
-    # the packed projection's parts; the backward concatenates them again
-    # rather than keep this call's copy alive on the tape
-    w_parts = (wk.data, wv.data) if cross else (wq.data, wk.data, wv.data)
-    if not cross:
-        s2 = x2
-        qkv = x2 @ np.concatenate(w_parts, axis=1)
-        qkv += np.concatenate((bq.data, bk.data, bv.data))
-        q, kv = qkv[:, :D], qkv[:, D:]
-    else:
-        s2 = memory.data.reshape(-1, D)
-        q = x2 @ w_q
-        q += bq.data
-        kv = s2 @ np.concatenate(w_parts, axis=1)
-        kv += np.concatenate((bk.data, bv.data))
+    # each input's rows, and the columns of w_in they project through
+    parts = [(x2, slice(None))] if not cross else [
+        (x2, slice(None, D)), (memory.data.reshape(-1, D), slice(D, None))]
+    proj = []
+    for rows, cols in parts:
+        proj.append(rows @ w[:, cols])
+        proj[-1] += b_in.data[cols]
+    q, kv = proj if cross else (proj[0][:, :D], proj[0][:, D:])
     q *= scale
     dtype = q.dtype
 
@@ -466,18 +461,17 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
     np.matmul(p, vh, out=ctx.transpose(0, 2, 1, 3))
     ctx2 = ctx.reshape(-1, D)
     out = _rows_at(ctx2, w_o)
-    out += bo.data
+    out += b_out.data
 
     def bw(g):
         g2 = g.reshape(-1, D)
-        ones_q = np.ones(len(g2), dtype)
         gh = split(g2 @ w_o.T, Tq)
         if not cross:
             g_in = np.empty((B, Tq, 3, heads, d), dtype)
             gq, g_kv = g_in[:, :, 0], g_in[:, :, 1:]
         else:
             gq = np.empty((B, Tq, heads, d), dtype)
-            g_in = g_kv = np.empty((B, Tk, 2, heads, d), dtype)
+            g_kv = np.empty((B, Tk, 2, heads, d), dtype)
         np.matmul(st, gh, out=g_kv[:, :, 1].transpose(0, 2, 1, 3))
         gst = vh @ gh.transpose(0, 1, 3, 2)
         gst -= np.einsum("bhkq,bhkq->bhq", gst, st)[..., None, :]
@@ -486,20 +480,17 @@ def attention_block(x: Tensor, memory: Tensor | None, projections: Sequence[tupl
         np.matmul(gst.transpose(0, 1, 3, 2), kh, out=gqh)
         gqh *= scale
         np.matmul(gst, qh, out=g_kv[:, :, 0].transpose(0, 2, 1, 3))
-        g_in = g_in.reshape(len(s2), -1)
-        gw_in = s2.T @ g_in
-        gb_in = np.ones(len(g_in), dtype) @ g_in
-        tail = (gw_in[:, -2 * D:-D], gb_in[-2 * D:-D], gw_in[:, -D:], gb_in[-D:],
-                ctx2.T @ g2, ones_q @ g2)
-        g_src = (g_in @ np.concatenate(w_parts, axis=1).T).reshape(src_shape)
-        if not cross:
-            return (g_src, gw_in[:, :D], gb_in[:D]) + tail
-        gq = gq.reshape(-1, D)
-        return ((gq @ w_q.T).reshape(x_shape), g_src, x2.T @ gq, ones_q @ gq) + tail
+        g_parts = [gq.reshape(-1, D), g_kv.reshape(-1, 2 * D)] if cross else [
+            g_in.reshape(len(x2), -1)]
+        gw, gb, g_inputs = np.empty((D, 3 * D), dtype), np.empty(3 * D, dtype), []
+        for (rows, cols), gp in zip(parts, g_parts):
+            np.matmul(rows.T, gp, out=gw[:, cols])
+            gb[cols] = np.ones(len(gp), dtype) @ gp
+            g_inputs.append((gp @ w[:, cols].T).reshape(B, -1, D))
+        return (*g_inputs, gw, gb, ctx2.T @ g2, np.ones(len(g2), dtype) @ g2)
 
     parents = (x, memory) if cross else (x,)
-    parents += (wq, bq, wk, bk, wv, bv, wo, bo)
-    return Tensor._op(out.reshape(B, Tq, D), parents, bw), p
+    return Tensor._op(out.reshape(B, Tq, D), parents + (w_in, b_in, w_out, b_out), bw), p
 
 
 def gated_unit(x1: Tensor, x2: Tensor, projections: Sequence[tuple]) -> tuple[Tensor, np.ndarray]:

@@ -199,7 +199,7 @@ def predict_sessions(model: DctmModel, sessions: list[Session],
     preds = [[] for _ in sessions]
 
     def score(job):
-        batch = batch_windows([w for _, w in job], len(job), dtype=cfg.dtype)[0]
+        batch = batch_windows([w for _, w in job], cfg.dtype)
         # grad mode is per thread, so each worker turns recording off itself
         with no_grad():
             return zip(job, model(batch.features, None, training=False).data)
@@ -303,8 +303,7 @@ def fit(cfg: DctmConfig, train_sessions: list[Session],
         B = cfg.optim.batch_size
         for step, first in enumerate(range(0, len(windows), B)):
             # gathered when the step starts: training holds the sessions plus one batch
-            batch = batch_windows([windows[i] for i in order[first:first + B]], B,
-                                  dtype=cfg.dtype)[0]
+            batch = batch_windows([windows[i] for i in order[first:first + B]], cfg.dtype)
             pred = model(batch.features, drop_rng, training=True)
             loss = ccc_loss(pred, batch.labels, batch.mask)
             value = loss.item()

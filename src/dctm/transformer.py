@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Linear, LayerNorm, Module, ModuleList, dropout_mask
-from .tensor import Tensor, attention_block, feed_forward
+from .tensor import Tensor, attention_block, feed_forward, xavier_uniform, zeros
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ def positional_encoding(T: int, D: int, dtype=np.float32) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``heads`` parallel subspaces.
 
-    The whole block is one ``attention_block`` node; the four ``Linear``
-    children only hold its parameters. Its (B, H, T_q, T_k) weights go to
-    an open `capture` (a view of the forward buffer, not a copy).
+    The whole block is one ``attention_block`` node. It owns the packed
+    in-projection ``w_in`` (D, 3D) and ``b_in`` (3D,), columns in q|k|v
+    order, and the output projection ``w_out`` and ``b_out``. Its
+    (B, H, T_q, T_k) weights go to an open `capture` (a view of the forward
+    buffer, not a copy).
     """
 
     def __init__(self, hidden: int, heads: int, rng: np.random.Generator):
@@ -66,18 +68,20 @@ class MultiHeadAttention(Module):
         if hidden % heads != 0:
             raise ConfigError(f"hidden={hidden} not divisible by heads={heads}")
         self.heads = heads
-        self.wq = Linear(hidden, hidden, rng)
-        self.wk = Linear(hidden, hidden, rng)
-        self.wv = Linear(hidden, hidden, rng)
+        # three (D, D) Xavier draws side by side, q then k then v: the values
+        # three separate layers would draw
+        self.w_in = Tensor(np.concatenate([xavier_uniform(rng, (hidden, hidden)).data
+                                           for _ in "qkv"], axis=1), requires_grad=True)
+        self.b_in = zeros((3 * hidden,))
         # Zero output projection: each attention block starts as a no-op on
         # the residual stream, which keeps the post-norm stack trainable at
         # learning rates around 1e-3 (random init collapses to a constant).
-        self.wo = Linear(hidden, hidden, rng, zero_init=True)
+        self.w_out = zeros((hidden, hidden))
+        self.b_out = zeros((hidden,))
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
-        out, attn = attention_block(
-            x, memory, [(p.weight, p.bias) for p in (self.wq, self.wk, self.wv, self.wo)],
-            self.heads)
+        out, attn = attention_block(x, memory, self.w_in, self.b_in, self.w_out, self.b_out,
+                                    self.heads)
         self.expose(attn)
         return out
 

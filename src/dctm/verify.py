@@ -163,19 +163,18 @@ def _grad_cases(rng):
         heads = int(rng.choice([1, 2]))
         hidden = heads * int(rng.integers(2, 5))
         B, Tq = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        params = projections(*[(hidden, hidden)] * 4)
+        params = projections((hidden, 3 * hidden), (hidden, hidden))
         # inputs at half scale: a sharper softmax would cost its float32
         # backward more digits than the float32 tolerance allows
         x = 0.5 * rng.standard_normal((B, Tq, hidden))
         if not next(cross_turn):
-            return ([x] + params,
-                    lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads)[0],
-                    lambda z: numpy_attention_block(z[0], None, z[1:], heads))
+            return ([x] + params, lambda ts: attention_block(ts[0], None, *ts[1:], heads)[0],
+                    lambda z: numpy_attention_block(z[0], None, *z[1:], heads))
         # every other case is cross-attention to a memory of another length
         Tk = Tq + int(rng.integers(1, 4))
         return ([x, 0.5 * rng.standard_normal((B, Tk, hidden))] + params,
-                lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads)[0],
-                lambda z: numpy_attention_block(z[0], z[1], z[2:], heads))
+                lambda ts: attention_block(*ts, heads)[0],
+                lambda z: numpy_attention_block(*z, heads))
 
     def gmu_case():
         d1, d2, out = (int(v) for v in rng.integers(1, 5, size=3))
@@ -381,10 +380,9 @@ def check_attention_rows(seed: int = 0) -> CheckResult:
         _fill_zero_weights(mha, rng)
         xs = rng.standard_normal((1, 5, 8))
         got = mha(Tensor(xs)).data[0]
-        q = xs[0] @ mha.wq.weight.data + mha.wq.bias.data
-        k = xs[0] @ mha.wk.weight.data + mha.wk.bias.data
-        v = xs[0] @ mha.wv.weight.data + mha.wv.bias.data
-        want = attention_single_head_loop(q, k, v) @ mha.wo.weight.data + mha.wo.bias.data
+        q, k, v = (xs[0] @ mha.w_in.data[:, i * 8:(i + 1) * 8] + mha.b_in.data[i * 8:(i + 1) * 8]
+                   for i in range(3))
+        want = attention_single_head_loop(q, k, v) @ mha.w_out.data + mha.b_out.data
         assert np.abs(got - want).max() <= 1e-10, "single-head loop oracle mismatch"
         return f"(2,64) scores in (0,1); {count} maps, worst row-sum gap {worst:.2e}"
 

@@ -185,7 +185,7 @@ def test_criterion_06_overfit_smoke():
     stats = compute_norm_stats(sessions)
     session = apply_norm_stats(sessions[0], stats)
     windows = make_windows(session, window=64, stride=32)[:8]
-    batch = batch_windows(windows, batch_size=8)[0]
+    batch = batch_windows(windows)
 
     model = DctmModel(cfg, {m: batch.features[m].shape[1] for m in batch.features},
                       np.random.default_rng(cfg.seed))
@@ -196,7 +196,8 @@ def test_criterion_06_overfit_smoke():
     for step in range(500):
         pred = model(batch.features, np.random.default_rng([0, step]), training=True)
         loss = ccc_loss(pred, batch.labels, mask=batch.mask)
-        model.zero_grad()
+        for _, p in params:
+            p.grad = None
         loss.backward()
         opt.step()
         with no_grad():
@@ -246,7 +247,7 @@ def test_criterion_08_gmu_gate_sanity(voice_data, monkeypatch):
         # a fresh evaluation forward, so the gate reflects trained weights
         stats = compute_norm_stats(train)
         probe = apply_norm_stats(val[0], stats)
-        batch = batch_windows(make_windows(probe, 64, 32), batch_size=32)[0]
+        batch = batch_windows(make_windows(probe, 64, 32)[:32])
         with monkeypatch.context() as patch:
             patch.setattr(dctm.fusion, "gated_unit", recording)
             gate = result.model.inspect(batch.features).gate_toward_last_modality

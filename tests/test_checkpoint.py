@@ -4,6 +4,7 @@ import pytest
 from dctm.checkpoint import MAGIC, load_checkpoint, restore_into, save_checkpoint
 from dctm.errors import DataError
 from dctm.tensor import Tensor
+from dctm.transformer import MultiHeadAttention
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -81,6 +82,18 @@ def test_restore_missing_tensor_reported(tmp_path):
     p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     with pytest.raises(DataError, match="mismatch"):
         restore_into([("w", p)], load_checkpoint(tmp_path / "a.dctm"))
+
+
+def test_separate_attention_projection_records_are_refused(tmp_path):
+    """Attention's records were ``wq.weight`` ... ``wo.bias`` before it packed
+    q|k|v into ``w_in``; such a checkpoint is refused before anything is written."""
+    old = [(f"w{k}.{part}", np.ones(shape, np.float32))
+           for k in "qkvo" for part, shape in (("weight", (4, 4)), ("bias", (4,)))]
+    save_checkpoint(tmp_path / "a.dctm", old)
+    mha = MultiHeadAttention(4, 2, None)
+    with pytest.raises(DataError, match=r"missing \['b_in', 'b_out', 'w_in', 'w_out'\]"):
+        restore_into(list(mha.named_parameters()), load_checkpoint(tmp_path / "a.dctm"))
+    assert not any(p.data.any() for _, p in mha.named_parameters())
 
 
 # one record 'enc.w' of shape (2, 3): magic 0-5, count 5-13, name length

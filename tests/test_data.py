@@ -306,7 +306,7 @@ class TestWindows:
         assert len(windows) == 1
         w = windows[0]
         assert w.mask.sum() == 10 and (~w.mask[10:]).all()
-        (batch,) = batch_windows(windows, batch_size=1, dtype=np.float64)
+        batch = batch_windows(windows, np.float64)
         head = batch.features["head"][0]
         assert head.shape == (8, 64)
         np.testing.assert_array_equal(head[:, :10], session.streams["head"].features.T)
@@ -332,7 +332,7 @@ class TestWindows:
         spec = SyntheticSpec(seed=5, sessions=1, frames=200, roles=("expert",))
         (session,) = generate_synthetic(spec)
         windows = make_windows(session, window=64, stride=32)
-        batches = batch_windows(windows, batch_size=4)
+        batches = [batch_windows(windows[i:i + 4]) for i in range(0, len(windows), 4)]
         assert [w.start for w in windows] == [0, 32, 64, 96, 128, 136]
         assert [len(b.labels) for b in batches] == [4, 2]
         assert batches[0].features["pose"].shape == (4, 12, 64)
@@ -398,10 +398,9 @@ class TestGather:
         sessions, _ = normalize(raw)
         windows = [w for s in sessions for w in make_windows(s, window, stride)]
         for size in (batch_size, len(windows)):
-            batches = batch_windows(windows, size, dtype=dtype)
-            assert len(batches) == -(-len(windows) // size)
-            for b, batch in enumerate(batches):
-                chunk = windows[b * size:(b + 1) * size]
+            for first in range(0, len(windows), size):
+                chunk = windows[first:first + size]
+                batch = batch_windows(chunk, dtype)
                 feats, labels = copied_batch(chunk, dtype)
                 for m in MODALITIES:
                     assert batch.features[m].dtype == dtype
@@ -435,7 +434,7 @@ class TestOverlapAverage:
         spec = SyntheticSpec(seed=11, sessions=1, frames=100, roles=("expert",))
         (session,) = generate_synthetic(spec)
         windows = make_windows(session, window=64, stride=32)
-        (batch,) = batch_windows(windows, batch_size=len(windows), dtype=np.float64)
+        batch = batch_windows(windows, np.float64)
         preds = [(w.start, labels) for w, labels in zip(windows, batch.labels)]
         scores = overlap_average(100, preds)
         assert scores.shape == (100,)

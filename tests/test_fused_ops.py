@@ -143,7 +143,7 @@ class TestAttention:
     heads, D = 2, 6
 
     def draw(self, rng, case, dtype, transposed=False):
-        """(x, memory or None, the eight projection arrays)."""
+        """(x, memory or None, the four projection arrays: w_in, b_in, w_out, b_out)."""
         B, Tq, Tk = ATTN_CASES[case]
         x = rng.standard_normal((B, Tq, self.D)).astype(dtype)
         if transposed:
@@ -151,25 +151,26 @@ class TestAttention:
             assert not x.flags.c_contiguous
         memory = rng.standard_normal((B, Tk, self.D)).astype(dtype) if case == "cross" else None
         params = [(0.5 * rng.standard_normal(shape)).astype(dtype)
-                  for _ in range(4) for shape in ((self.D, self.D), (self.D,))]
+                  for shape in ((self.D, 3 * self.D), (3 * self.D,), (self.D, self.D), (self.D,))]
         return x, memory, params
 
     def op(self, memory):
         if memory is None:
-            return lambda ts: attention_block(ts[0], None, pairs(ts[1:]), self.heads)[0]
-        return lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), self.heads)[0]
+            return lambda ts: attention_block(ts[0], None, *ts[1:], self.heads)[0]
+        return lambda ts: attention_block(*ts, self.heads)[0]
 
     def test_matches_single_head_loop(self, rng, case, dtype):
         x, memory, params = self.draw(rng, case, dtype)
         out, weights = attention_block(Tensor(x), None if memory is None else Tensor(memory),
-                                       pairs([Tensor(a) for a in params]), self.heads)
+                                       *[Tensor(a) for a in params], self.heads)
         B, Tq, Tk = ATTN_CASES[case]
         assert out.dtype == dtype and weights.dtype == dtype
         assert weights.shape == (B, self.heads, Tq, Tk)
-        wq, bq, wk, bk, wv, bv, wo, bo = (a.astype(np.float64) for a in params)
+        w_in, b_in, wo, bo = (a.astype(np.float64) for a in params)
         x64 = x.astype(np.float64)
         source = x64 if memory is None else memory.astype(np.float64)
-        q, k, v = x64 @ wq + bq, source @ wk + bk, source @ wv + bv
+        q, k, v = (a @ w_in[:, i * self.D:(i + 1) * self.D] + b_in[i * self.D:(i + 1) * self.D]
+                   for i, a in enumerate((x64, source, source)))
         d = self.D // self.heads
         ctx = np.empty((B, Tq, self.D))
         for b in range(B):
@@ -189,14 +190,28 @@ class TestAttention:
 
         def f(z):
             mem, rest = (None, z[1:]) if memory is None else (z[1], z[2:])
-            return (numpy_attention_block(z[0], mem, rest, self.heads) * probe).sum()
+            return (numpy_attention_block(z[0], mem, *rest, self.heads) * probe).sum()
 
         arrays64 = [a.astype(np.float64) for a in arrays]
         assert_close(out.data, numpy_attention_block(
             arrays64[0], None if memory is None else arrays64[1],
-            arrays64[-8:], self.heads), dtype)
+            *arrays64[-4:], self.heads), dtype)
         for got, ref in zip(grads, complex_step_grads(f, arrays64)):
             assert_close(got, ref, dtype)
+
+    def test_concatenates_nothing(self, rng, case, dtype, monkeypatch):
+        """The packed q|k|v projection is read through column views: neither
+        the forward nor the backward copies weights or biases together."""
+        x, memory, params = self.draw(rng, case, dtype)
+        arrays = [x] + ([] if memory is None else [memory]) + params
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("attention_block called np.concatenate")
+
+        monkeypatch.setattr(np, "concatenate", refuse)
+        out, grads = grads_of(self.op(memory), arrays, rng.standard_normal(x.shape))
+        assert_dtype(out, grads, dtype)
+        assert grads[-4].shape == (self.D, 3 * self.D) and grads[-3].shape == (3 * self.D,)
 
     def test_gradients_match_contiguous_float64(self, rng, case, dtype):
         x, memory, params = self.draw(rng, case, dtype, transposed=case != "single")
@@ -212,16 +227,18 @@ class TestAttention:
 
 def test_attention_rejects_mismatched_shapes():
     x = Tensor(np.zeros((2, 3, 4)))
-    square = [(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))] * 4
+    w_in, b_in, w_out, b_out = (Tensor(np.zeros(s)) for s in ((4, 12), (12,), (4, 4), (4,)))
     with pytest.raises(ShapeError, match="attention"):
-        attention_block(x, Tensor(np.zeros((3, 5, 4))), square, heads=2)
+        attention_block(x, Tensor(np.zeros((3, 5, 4))), w_in, b_in, w_out, b_out, heads=2)
     with pytest.raises(ShapeError, match="attention"):
-        attention_block(x, Tensor(np.zeros((2, 5, 6))), square, heads=2)
+        attention_block(x, Tensor(np.zeros((2, 5, 6))), w_in, b_in, w_out, b_out, heads=2)
     with pytest.raises(ShapeError, match="attention"):
-        attention_block(x, None, square[:3] + [(Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))],
-                        heads=2)
+        attention_block(x, None, w_in, b_in, Tensor(np.zeros((4, 5))), b_out, heads=2)
+    # three (D, D) blocks stacked by rows are not the packed (D, 3D) projection
+    with pytest.raises(ShapeError, match="attention"):
+        attention_block(x, None, Tensor(np.zeros((12, 4))), b_in, w_out, b_out, heads=2)
     with pytest.raises(ShapeError, match="3 heads"):
-        attention_block(x, None, square, heads=3)
+        attention_block(x, None, w_in, b_in, w_out, b_out, heads=3)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -365,8 +382,8 @@ def test_dilated_conv1d_matches_direct_sum_and_complex_step(rng, case, dtype):
 def attention_op(self_attention):
     """``attention_block`` over (x, memory, parameters), or over (x, parameters)."""
     if self_attention:
-        return lambda ts: attention_block(ts[0], None, pairs(ts[1:]), heads=2)
-    return lambda ts: attention_block(ts[0], ts[1], pairs(ts[2:]), heads=2)
+        return lambda ts: attention_block(ts[0], None, *ts[1:], heads=2)
+    return lambda ts: attention_block(*ts, heads=2)
 
 
 def residual_norm_op(dropout):
@@ -385,8 +402,8 @@ NO_MUTATION = {
     "residual_norm": (residual_norm_op(False), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "residual_norm_dropout": (residual_norm_op(True), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "feed_forward": (lambda ts: feed_forward(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
-    "self_attention": (attention_op(True), [(2, 5, 4)] + [(4, 4), (4,)] * 4),
-    "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4)] + [(4, 4), (4,)] * 4),
+    "self_attention": (attention_op(True), [(2, 5, 4), (4, 12), (12,), (4, 4), (4,)]),
+    "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4), (4, 12), (12,), (4, 4), (4,)]),
     "gated_unit": (lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0],
                    [(2, 3, 4), (2, 3, 2), (4, 5), (5,), (2, 5), (5,), (6, 5), (5,)]),
     "dilated_conv1d": (lambda ts: dilated_conv1d(*ts, 2), [(2, 3, 6), (4, 3, 3), (4,)]),
@@ -477,7 +494,7 @@ def test_window_scores_do_not_depend_on_batch_row(precision, fusion, conv, W):
     dims = {"head": 4, "pose": 5, "voice": 3}
     model = DctmModel(cfg, dims, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    for p in model.parameters():   # the zero-initialised output projections too
+    for _, p in model.named_parameters():   # the zero-initialised output projections too
         p.data[...] = p.data + 0.1 * rng.standard_normal(p.shape)
     pool = {m: rng.standard_normal((33, d, W)) for m, d in dims.items()}
 

@@ -371,8 +371,8 @@ def test_branch_outputs_are_freed_at_the_forward_and_gradients_unchanged(fusion)
 def test_training_forward_holds_no_packed_projection_copy():
     """The arrays a default-architecture float32 training forward leaves
     alive for its backward grow with the batch; the part that does not is
-    under 1 MiB. Attention's backward concatenates ``wq|wk|wv`` again
-    rather than keep each block's 192 KiB copy (2 MiB a forward) on the tape."""
+    under 1 MiB. Attention reads its packed q|k|v projection in place, so no
+    block keeps a 192 KiB copy of it (2 MiB a forward) on the tape."""
     cfg = DctmConfig()
     model = DctmModel(cfg, DIMS, np.random.default_rng(0))
     rng = np.random.default_rng(1)

@@ -63,8 +63,8 @@ class TestElementwise:
 
 
 def identity_projections(D):
-    """(weight, bias) pairs of four identity projections, for ``attention_block``."""
-    return [(t64(np.eye(D)), t64(np.zeros(D))) for _ in range(4)]
+    """``attention_block``'s packed q|k|v and output projections, all identities."""
+    return t64(np.tile(np.eye(D), 3)), t64(np.zeros(3 * D)), t64(np.eye(D)), t64(np.zeros(D))
 
 
 def softmax_rows(x):
@@ -76,7 +76,7 @@ def softmax_rows(x):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, weights = attention_block(t64(np.ones((x.shape[0], 1, 1))), t64(x[:, :, None]),
-                                 identity_projections(1), heads=1)
+                                 *identity_projections(1), heads=1)
     return weights[:, 0, 0, :]
 
 
@@ -259,12 +259,11 @@ class TestDeterminism:
         x = rng.standard_normal((2, 8, 8))
         w, b = t64(rng.standard_normal((8, 8))), t64(rng.standard_normal(8))
 
-        projections = [(t64(rng.standard_normal((8, 8))), t64(rng.standard_normal(8)))
-                       for _ in range(4)]
+        projections = [t64(rng.standard_normal(shape)) for shape in ((8, 24), (24,), (8, 8), (8,))]
 
         def run():
             t = t64(x, requires_grad=True)
-            loss = (attention_block(linear(t, w, b), t, projections, heads=2)[0].tanh()
+            loss = (attention_block(linear(t, w, b), t, *projections, heads=2)[0].tanh()
                     * t).sum()
             loss.backward()
             return loss.item(), t.grad.copy()

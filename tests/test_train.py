@@ -224,7 +224,7 @@ class TestFit:
         monkeypatch.setattr(DctmModel, "__call__", recording)
         result = fit(tiny_cfg(), sessions[:4], sessions[4:])
         assert len(held) > 4 and held == [[]] * len(held)
-        assert all(p.grad is None for p in result.model.parameters())
+        assert all(p.grad is None for _, p in result.model.named_parameters())
 
     def test_curves_have_one_entry_per_epoch(self):
         sessions = tiny_sessions()
@@ -326,7 +326,7 @@ class TestParameterArena:
                           np.random.default_rng(0))
         dctm.verify._fill_zero_weights(model, np.random.default_rng(1))
         assert_views_of_the_arena(model)
-        assert all(np.any(p.data) for p in model.parameters() if p.data.ndim == 2)
+        assert all(np.any(p.data) for _, p in model.named_parameters() if p.data.ndim == 2)
 
 
 class TestEvaluateRun:
@@ -468,9 +468,10 @@ def _serial_scores(model, sessions, cfg):
     with no_grad():
         for s in sessions:
             windows = make_windows(s, cfg.data.window, cfg.data.stride)
-            scores = [row for batch in batch_windows(windows, cfg.optim.batch_size,
-                                                     dtype=cfg.dtype)
-                      for row in model(batch.features, None).data]
+            B = cfg.optim.batch_size
+            scores = [row for first in range(0, len(windows), B)
+                      for row in model(batch_windows(windows[first:first + B], cfg.dtype).features,
+                                       None).data]
             out[s.key] = overlap_average(s.num_frames,
                                          zip([w.start for w in windows], scores))
     return out
@@ -746,7 +747,7 @@ class TestScoreRun:
         assert ([(n, p.data.shape, p.data.dtype) for n, p in model.named_parameters()]
                 == [(n, p.data.shape, p.data.dtype) for n, p in seeded.named_parameters()])
         # every parameter is zero: nothing was drawn
-        assert not any(p.data.any() for p in model.parameters())
+        assert not any(p.data.any() for _, p in model.named_parameters())
 
     @pytest.mark.parametrize("split, error", [("test", DataError), ("empty", ConfigError)])
     def test_bad_split_raises_before_any_read(self, score_env, tmp_path, events,

@@ -4,7 +4,7 @@ import pytest
 from dctm.errors import ConfigError, ShapeError
 from dctm.layers import capture
 from dctm.reference import attention_single_head_loop
-from dctm.tensor import Tensor
+from dctm.tensor import Tensor, xavier_uniform
 from dctm.transformer import (
     EncoderDecoder,
     MultiHeadAttention,
@@ -66,17 +66,17 @@ class TestMultiHeadAttention:
     def test_single_token_passes_through_value_path(self, rng):
         # T=1: softmax over one key is 1, so out = W_o(W_v x)
         mha = MultiHeadAttention(8, 2, rng)
-        _scramble_zero_weights(mha, rng)  # wo starts at zero by design
+        _scramble_zero_weights(mha, rng)  # w_out starts at zero by design
         x = Tensor(rng.standard_normal((1, 1, 8)).astype(np.float32))
         out = mha(x).data
-        v = x.data @ mha.wv.weight.data + mha.wv.bias.data
-        want = v @ mha.wo.weight.data + mha.wo.bias.data
+        v = x.data @ mha.w_in.data[:, 16:] + mha.b_in.data[16:]
+        want = v @ mha.w_out.data + mha.b_out.data
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_zero_query_gives_uniform_weights(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
-        mha.wq.weight.data[:] = 0.0
-        mha.wq.bias.data[:] = 0.0
+        mha.w_in.data[:, :8] = 0.0
+        mha.b_in.data[:8] = 0.0
         x = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
         with capture() as seen:
             mha(x)
@@ -95,9 +95,8 @@ class TestMultiHeadAttention:
         x = Tensor(rng.standard_normal((1, 6, 8)))
         out = mha(x).data
 
-        q = x.data @ mha.wq.weight.data + mha.wq.bias.data
-        k = x.data @ mha.wk.weight.data + mha.wk.bias.data
-        v = x.data @ mha.wv.weight.data + mha.wv.bias.data
+        q, k, v = (x.data @ mha.w_in.data[:, i * 8:(i + 1) * 8] + mha.b_in.data[i * 8:(i + 1) * 8]
+                   for i in range(3))
         d = 4  # 8 hidden / 2 heads
         heads = [
             attention_single_head_loop(q[0, :, i * d:(i + 1) * d],
@@ -105,8 +104,21 @@ class TestMultiHeadAttention:
                                        v[0, :, i * d:(i + 1) * d])
             for i in range(2)
         ]
-        want = np.concatenate(heads, axis=-1) @ mha.wo.weight.data + mha.wo.bias.data
+        want = np.concatenate(heads, axis=-1) @ mha.w_out.data + mha.b_out.data
         np.testing.assert_allclose(out, want[None], atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_packed_projection_is_three_xavier_draws(self, seed):
+        """``w_in``'s column blocks are three successive (D, D) Xavier draws,
+        q then k then v: the values separate q, k and v weights would get."""
+        mha = MultiHeadAttention(8, 2, np.random.default_rng(seed))
+        draw = np.random.default_rng(seed)
+        want = [xavier_uniform(draw, (8, 8)).data for _ in range(3)]
+        assert mha.w_in.shape == (8, 24) and not mha._children
+        for i in range(3):
+            np.testing.assert_array_equal(mha.w_in.data[:, i * 8:(i + 1) * 8], want[i])
+        assert [name for name, _ in mha.named_parameters()] == ["w_in", "b_in", "w_out", "b_out"]
+        assert not (mha.b_in.data.any() or mha.w_out.data.any() or mha.b_out.data.any())
 
     def test_cross_attention_shapes(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
@@ -126,7 +138,8 @@ class TestMultiHeadAttention:
         mha(x)
         assert list(inner) == [mha] and list(seen) == [mha]
         assert seen[mha] is not inner[mha]
-        assert vars(mha).keys() == {"_params", "_children", "heads", "wq", "wk", "wv", "wo"}
+        assert vars(mha).keys() == {"_params", "_children", "heads",
+                                    "w_in", "b_in", "w_out", "b_out"}
 
 
 def _scramble_zero_weights(module, rng):
