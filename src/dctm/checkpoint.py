@@ -9,6 +9,7 @@ bit-exact for float32 weights.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .errors import DataError, NumericalError
 from .files import atomic_write
 
 MAGIC = b"DCTM1"
+RECORD_DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
@@ -27,7 +29,7 @@ def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(named_arrays)))
         for name, arr in named_arrays:
-            payload = np.ascontiguousarray(arr, dtype="<f4")
+            payload = np.ascontiguousarray(arr, dtype=RECORD_DTYPE)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)
@@ -37,31 +39,32 @@ def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
             fh.write(payload.tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Records by name, as read-only little-endian float32 views of the
-    file's bytes: nothing is copied here. ``restore_into`` makes the one
-    copy; copy an array before writing to it."""
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
+def _read_table(fh, path: Path) -> dict[str, tuple[int, tuple[int, ...], int]]:
+    """{name: (record index, shape, payload offset)} in file order, seeking
+    past every payload. A malformed or truncated file raises `DataError`."""
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(MAGIC)) != MAGIC:
         raise DataError(f"{path}: bad magic, not a DCTM1 checkpoint")
     off = len(MAGIC)
-    view = memoryview(blob)
 
-    def take(n: int, what: str) -> memoryview:
+    def skip(n: int, what: str) -> int:
+        """Move past ``n`` bytes of ``what``; their offset."""
         nonlocal off
-        if n > len(blob) - off:
+        if n > size - off:
             raise DataError(f"{path}: truncated in {what}: needs {n} bytes at offset "
-                            f"{off}, {len(blob) - off} left")
+                            f"{off}, {size - off} left")
         off += n
-        return view[off - n:off]
+        return off - n
+
+    def take(n: int, what: str) -> bytes:
+        skip(n, what)
+        return fh.read(n)
 
     def read_u64(what: str) -> int:
         return struct.unpack("<Q", take(8, what))[0]
 
-    count = read_u64("the record count")
-    out: dict[str, np.ndarray] = {}
-    for i in range(count):
+    table = {}
+    for i in range(read_u64("the record count")):
         record = f"record {i}"
         try:
             name = str(take(read_u64(f"{record} name length"), f"{record} name"), "utf-8")
@@ -70,35 +73,52 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         record = f"record {i} ('{name}')"
         rank = read_u64(f"{record} rank")
         dims = tuple(read_u64(f"{record} shape") for _ in range(rank))
-        n = math.prod(dims)
-        payload = take(4 * n, f"{record} payload")
-        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    if off != len(blob):
-        raise DataError(f"{path}: {len(blob) - off} trailing bytes after last record")
-    return out
+        table[name] = i, dims, skip(RECORD_DTYPE.itemsize * math.prod(dims),
+                                    f"{record} payload")
+        fh.seek(off)
+    if off != size:
+        raise DataError(f"{path}: {size - off} trailing bytes after last record")
+    return table
 
 
-def restore_into(params: list[tuple[str, "object"]], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into the model parameters' arrays, matching by
-    name and shape; ``.data`` is never rebound. A mismatch raises
-    `DataError` and a non-finite record `NumericalError`, each naming the
-    first such record, before any parameter is written."""
-    param_names = {name for name, _ in params}
-    missing = param_names - set(loaded)
-    extra = set(loaded) - param_names
-    if missing or extra:
-        raise DataError(
-            f"checkpoint/model mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-    for name, p in params:
-        arr = loaded[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise DataError(
-                f"checkpoint tensor '{name}' has shape {tuple(arr.shape)}, "
-                f"model expects {tuple(p.data.shape)}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            at = np.unravel_index(int(np.argmin(finite)), arr.shape)
-            raise NumericalError(f"checkpoint tensor '{name}' holds {arr[at]} at index "
-                                 f"{tuple(map(int, at))}")
-    for name, p in params:
-        p.data[...] = loaded[name]
+def load_checkpoint(path, params) -> None:
+    """Read the checkpoint at ``path`` into ``params``, (name, Tensor) pairs
+    such as ``model.named_parameters()``, matching records by name.
+
+    A malformed file, or a missing, unexpected or mis-shaped record, raises
+    `DataError` before any parameter is written. Each payload is then read
+    into its parameter's array, which stays bound to ``.data``: straight
+    from the file where the array is contiguous little-endian float32, else
+    through a one-record scratch cast to the array's dtype. A record holding
+    NaN or ±inf raises `NumericalError` once it is read, naming the first
+    such value."""
+    path = Path(path)
+    params = list(params)
+    with open(path, "rb") as fh:
+        table = _read_table(fh, path)
+        names = {name for name, _ in params}
+        missing, extra = names - set(table), set(table) - names
+        if missing or extra:
+            raise DataError(f"checkpoint/model mismatch: missing {sorted(missing)}, "
+                            f"unexpected {sorted(extra)}")
+        for name, p in params:
+            if table[name][1] != p.data.shape:
+                raise DataError(f"checkpoint tensor '{name}' has shape {table[name][1]}, "
+                                f"model expects {tuple(p.data.shape)}")
+        for name, p in params:
+            i, dims, offset = table[name]
+            direct = (p.data.dtype == RECORD_DTYPE and p.data.flags.c_contiguous
+                      and p.data.flags.writeable)
+            record = p.data if direct else np.empty(dims, RECORD_DTYPE)
+            fh.seek(offset)
+            got = fh.readinto(record.reshape(-1).view(np.uint8))
+            if got != record.nbytes:
+                raise DataError(f"{path}: truncated in record {i} ('{name}') payload: needs "
+                                f"{record.nbytes} bytes at offset {offset}, {got} left")
+            finite = np.isfinite(record)
+            if not finite.all():
+                at = np.unravel_index(int(np.argmin(finite)), dims)
+                raise NumericalError(f"checkpoint tensor '{name}' holds {record[at]} at index "
+                                     f"{tuple(map(int, at))}")
+            if not direct:
+                p.data[...] = record

@@ -65,9 +65,10 @@ class Arena:
     the checkpoint record order. This is the one place that binds
     ``.data``; everything else writes into the views, so they stay views.
     ``dtype`` casts the values (as ``astype`` would); without it the
-    parameters must share one. ``fill=False`` leaves every value zero, for
-    parameters a checkpoint will supply: the buffer's pages are first
-    touched when it is restored."""
+    parameters must share one. A parameter made by `zeros` or `ones` is a
+    read-only zero-stride view until it is packed here. ``fill=False``
+    leaves every value zero, for parameters a checkpoint will supply: the
+    buffer's pages are first touched when the checkpoint is read into it."""
 
     def __init__(self, named, dtype=None, fill: bool = True):
         self.params = list(named)

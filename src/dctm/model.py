@@ -46,9 +46,11 @@ class DctmModel(Module):
     """Assembled regressor; architecture is fixed by (config, feature dims).
 
     ``rng`` draws the initial weights. With None nothing is drawn and every
-    parameter is zero, for a model whose parameters come from a checkpoint.
-    Every parameter's ``.data`` is a view of one flat buffer, ``arena``,
-    which `Adam` updates and `fit` snapshots."""
+    parameter is zero, for a model whose parameters come from a checkpoint:
+    the model then owns no parameter memory but its arena, whose pages are
+    first touched when `load_checkpoint` reads into it. Every parameter's
+    ``.data`` is a view of one flat buffer, ``arena``, which `Adam` updates
+    and `fit` snapshots."""
 
     def __init__(self, cfg: DctmConfig, feature_dims: dict[str, int],
                  rng: np.random.Generator | None):
@@ -81,8 +83,8 @@ class DctmModel(Module):
         # The one place parameters take the configured precision: modules
         # draw in float64, and packing casts, so float32 and float64 models
         # hold the same initial values from the same rng draws. Without
-        # draws nothing is copied, and the zeroed arena is first touched
-        # when a checkpoint is restored into it.
+        # draws every parameter is a zero-stride constant (`zeros`, `ones`)
+        # and nothing is copied.
         self.arena = Arena(self.named_parameters(), cfg.dtype, fill=rng is not None)
 
     def __call__(self, features: dict[str, np.ndarray], rng,

@@ -581,9 +581,17 @@ def xavier_uniform(rng: np.random.Generator | None, shape: tuple, fan_in: int | 
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
+def _constant(shape, value: float) -> Tensor:
+    """A parameter holding ``value`` everywhere, as a read-only zero-stride
+    view of one float64 scalar: it owns no buffer until an `Arena` packs it.
+    (``np.broadcast_to`` builds the same view at three times the cost.)"""
+    return Tensor(np.ndarray(shape, np.float64, np.float64(value).tobytes(),
+                             strides=(0,) * len(shape)), requires_grad=True)
+
+
 def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return _constant(shape, 0.0)
 
 
 def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+    return _constant(shape, 1.0)

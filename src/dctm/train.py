@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DctmConfig, resolve_config, to_flat
 from .data import (
     NormStats,
@@ -416,8 +416,8 @@ def load_run(run_dir, overrides: dict[str, str] | None = None):
     """(config, model, stats, meta) from a training run directory.
 
     The model has the run's architecture but every parameter is zero:
-    nothing is drawn, since a checkpoint supplies every parameter. Restore
-    one into it (`restore_into`) before scoring."""
+    nothing is drawn, since a checkpoint supplies every parameter. Read one
+    into it (`load_checkpoint`) before scoring."""
     run = Path(run_dir)
     if not run.is_dir():
         raise DataError(f"run directory not found: {run}")
@@ -439,7 +439,7 @@ def _open_split(run_dir, split: str, which: str, overrides, require_labels: bool
     if which not in ("best", "last"):
         raise ConfigError(f"checkpoint selector must be 'best' or 'last', got {which!r}")
     path = Path(run_dir) / f"checkpoint.{which}.dctm"
-    restore_into(list(model.named_parameters()), load_checkpoint(path))
+    load_checkpoint(path, model.named_parameters())
     sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
                                    cfg.data.modalities, require_labels=require_labels)
     if not sessions:

@@ -70,8 +70,9 @@ class MultiHeadAttention(Module):
         self.heads = heads
         # three (D, D) Xavier draws side by side, q then k then v: the values
         # three separate layers would draw
-        self.w_in = Tensor(np.concatenate([xavier_uniform(rng, (hidden, hidden)).data
-                                           for _ in "qkv"], axis=1), requires_grad=True)
+        self.w_in = zeros((hidden, 3 * hidden)) if rng is None else Tensor(
+            np.concatenate([xavier_uniform(rng, (hidden, hidden)).data for _ in "qkv"],
+                           axis=1), requires_grad=True)
         self.b_in = zeros((3 * hidden,))
         # Zero output projection: each attention block starts as a no-op on
         # the residual stream, which keeps the post-norm stack trainable at

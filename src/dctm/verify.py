@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
-from .layers import capture
+from .layers import Arena, capture
 from .metrics import ccc, ccc_loss
 from .reference import (attention_single_head_loop, ccc_two_pass, complex_step_grads,
                         conv1d_direct, conv1d_flip, numpy_attention_block, numpy_ccc_loss,
@@ -34,8 +34,12 @@ TOL = {np.float64: 1e-12, np.float32: 1e-5}
 def _fill_zero_weights(module, rng) -> None:
     """Residual output projections and the scoring head are zero-initialized;
     checks of their math must give them random values or they would compare
-    zero against zero."""
-    for _, p in module.named_parameters():
+    zero against zero. A module without an arena (its constant parameters
+    are read-only) is packed into one first."""
+    params = list(module.named_parameters())
+    if not all(p.data.flags.writeable for _, p in params):
+        Arena(params)
+    for _, p in params:
         if not np.any(p.data):
             p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
 

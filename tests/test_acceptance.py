@@ -31,7 +31,7 @@ from dctm.model import DctmModel
 from dctm.optim import Adam
 from dctm.reference import ridge_regression_ccc
 from dctm.tensor import Tensor, no_grad
-from dctm.train import evaluate_run, fit, train_run
+from dctm.train import evaluate_run, fit, load_run, train_run
 from dctm.transformer import TransformerSettings
 from dctm.verify import (
     check_attention_rows,
@@ -296,9 +296,11 @@ def test_criterion_10_determinism_and_persistence(grid_root, tmp_path):
                  and rep_a.train_ccc_curve == rep_b.train_ccc_curve
                  and rep_a.val_ccc_curve == rep_b.val_ccc_curve)
 
-    # checkpoint round trip: load -> restore -> save must be byte-identical
-    state = load_checkpoint(run_a / "checkpoint.best.dctm")
-    save_checkpoint(tmp_path / "relay.dctm", list(state.items()))
+    # checkpoint round trip: load -> save must be byte-identical
+    _, model, _, _ = load_run(run_a)
+    load_checkpoint(run_a / "checkpoint.best.dctm", model.named_parameters())
+    save_checkpoint(tmp_path / "relay.dctm",
+                    [(name, p.data) for name, p in model.named_parameters()])
     bytes_ok = ((run_a / "checkpoint.best.dctm").read_bytes()
                 == (tmp_path / "relay.dctm").read_bytes())
 

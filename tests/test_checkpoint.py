@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from dctm.checkpoint import MAGIC, load_checkpoint, restore_into, save_checkpoint
+from dctm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dctm.errors import DataError
+from dctm.layers import Arena
 from dctm.tensor import Tensor
 from dctm.transformer import MultiHeadAttention
+
+
+def blank(records, dtype):
+    """Zeroed (name, parameter) pairs shaped like ``records``."""
+    return [(name, Tensor(np.zeros(np.shape(a), dtype), requires_grad=True))
+            for name, a in records]
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -16,12 +23,15 @@ def test_round_trip_bit_exact(tmp_path, rng):
     ]
     path = tmp_path / "model.dctm"
     save_checkpoint(path, arrays)
-    loaded = load_checkpoint(path)
-    assert list(loaded) == [n for n, _ in arrays]
-    for name, arr in arrays:
-        assert loaded[name].dtype == np.float32
-        np.testing.assert_array_equal(loaded[name], arr)
-        assert loaded[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+    # save_checkpoint writes a 0-d array as shape (1,)
+    params = blank(arrays[:-1] + [("scalar", np.zeros(1))], np.float32)
+    load_checkpoint(path, params)
+    for (_, arr), (_, p) in zip(arrays, params):
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, arr)
+        assert p.data.tobytes() == np.ascontiguousarray(arr).tobytes()
+    save_checkpoint(tmp_path / "again.dctm", [(n, p.data) for n, p in params])
+    assert (tmp_path / "again.dctm").read_bytes() == path.read_bytes()
 
 
 def test_magic_bytes_lead_the_file(tmp_path):
@@ -34,7 +44,7 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.dctm"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(DataError, match="magic"):
-        load_checkpoint(path)
+        load_checkpoint(path, [])
 
 
 def test_failed_save_leaves_the_old_checkpoint_whole(tmp_path, rng):
@@ -50,38 +60,53 @@ def test_failed_save_leaves_the_old_checkpoint_whole(tmp_path, rng):
 
 def test_restore_matches_by_name_and_shape(tmp_path, rng):
     w = rng.standard_normal((3, 2)).astype(np.float32)
-    save_checkpoint(tmp_path / "a.dctm", [("w", w)])
-    p = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
-    restore_into([("w", p)], load_checkpoint(tmp_path / "a.dctm"))
-    np.testing.assert_array_equal(p.data, w)
+    b = rng.standard_normal(4).astype(np.float32)
+    save_checkpoint(tmp_path / "a.dctm", [("w", w), ("b", b)])
+    params = blank([("b", b), ("w", w)], np.float32)
+    load_checkpoint(tmp_path / "a.dctm", params)
+    np.testing.assert_array_equal(params[0][1].data, b)
+    np.testing.assert_array_equal(params[1][1].data, w)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_load_views_the_file_and_restore_makes_the_one_copy(tmp_path, rng, dtype):
-    w = rng.standard_normal((3, 2)).astype(np.float32)
-    save_checkpoint(tmp_path / "a.dctm", [("w", w)])
-    loaded = load_checkpoint(tmp_path / "a.dctm")
-    assert not loaded["w"].flags.writeable
-    p = Tensor(np.zeros((3, 2), dtype=dtype), requires_grad=True)
-    restore_into([("w", p)], loaded)
-    assert p.data.dtype == dtype and p.data.flags.writeable
-    assert not np.shares_memory(p.data, loaded["w"])
-    p.data += 1.0
-    np.testing.assert_array_equal(loaded["w"], w)
+def test_load_reads_each_record_into_its_arena_view(tmp_path, rng, dtype):
+    """Each record lands in its parameter's view of the arena, which stays
+    bound: a float32 arena receives the file's bytes, a float64 one exactly
+    ``record.astype(float64)``."""
+    records = [("w", rng.standard_normal((3, 2)).astype(np.float32)),
+               ("b", rng.standard_normal(5).astype(np.float32))]
+    save_checkpoint(tmp_path / "a.dctm", records)
+    params = blank(records, dtype)
+    arena = Arena(params)
+    views = [p.data for _, p in params]
+    load_checkpoint(tmp_path / "a.dctm", params)
+    for (_, want), (_, p), view in zip(records, params, views):
+        assert p.data is view and p.data.base is arena.flat and p.data.flags.writeable
+        assert p.data.dtype == dtype
+        assert p.data.tobytes() == want.astype(dtype).tobytes()
 
 
 def test_restore_shape_mismatch_names_tensor(tmp_path):
     save_checkpoint(tmp_path / "a.dctm", [("conv.weight", np.zeros((2, 2), dtype=np.float32))])
     p = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(DataError, match="conv.weight"):
-        restore_into([("conv.weight", p)], load_checkpoint(tmp_path / "a.dctm"))
+        load_checkpoint(tmp_path / "a.dctm", [("conv.weight", p)])
 
 
 def test_restore_missing_tensor_reported(tmp_path):
     save_checkpoint(tmp_path / "a.dctm", [("other", np.zeros(2, dtype=np.float32))])
     p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     with pytest.raises(DataError, match="mismatch"):
-        restore_into([("w", p)], load_checkpoint(tmp_path / "a.dctm"))
+        load_checkpoint(tmp_path / "a.dctm", [("w", p)])
+
+
+def test_shape_mismatch_is_refused_before_any_write(tmp_path):
+    save_checkpoint(tmp_path / "a.dctm", [("a", np.ones(2, np.float32)),
+                                          ("b", np.ones(3, np.float32))])
+    params = blank([("a", np.ones(2)), ("b", np.ones(4))], np.float32)
+    with pytest.raises(DataError, match=r"'b' has shape \(3,\), model expects \(4,\)"):
+        load_checkpoint(tmp_path / "a.dctm", params)
+    assert not any(p.data.any() for _, p in params)
 
 
 def test_separate_attention_projection_records_are_refused(tmp_path):
@@ -92,7 +117,7 @@ def test_separate_attention_projection_records_are_refused(tmp_path):
     save_checkpoint(tmp_path / "a.dctm", old)
     mha = MultiHeadAttention(4, 2, None)
     with pytest.raises(DataError, match=r"missing \['b_in', 'b_out', 'w_in', 'w_out'\]"):
-        restore_into(list(mha.named_parameters()), load_checkpoint(tmp_path / "a.dctm"))
+        load_checkpoint(tmp_path / "a.dctm", mha.named_parameters())
     assert not any(p.data.any() for _, p in mha.named_parameters())
 
 
@@ -109,7 +134,19 @@ def test_truncated_file_names_record(tmp_path, cut, part):
     assert len(blob) == 74
     path.write_bytes(blob[:cut])
     with pytest.raises(DataError, match=f"t.dctm: truncated in {part}"):
-        load_checkpoint(path)
+        load_checkpoint(path, blank([("enc.w", np.zeros((2, 3)))], np.float32))
+
+
+def test_cut_inside_a_later_payload_names_it_and_writes_nothing(tmp_path):
+    path = tmp_path / "t.dctm"
+    records = [("a", np.ones(4, np.float32)), ("b", np.ones(6, np.float32))]
+    save_checkpoint(path, records)
+    path.write_bytes(path.read_bytes()[:-5])
+    params = blank(records, np.float32)
+    with pytest.raises(DataError, match=r"t.dctm: truncated in record 1 \('b'\) payload: "
+                                        r"needs 24 bytes at offset \d+, 19 left"):
+        load_checkpoint(path, params)
+    assert not any(p.data.any() for _, p in params)
 
 
 def test_non_utf8_name_is_a_data_error(tmp_path):
@@ -119,7 +156,7 @@ def test_non_utf8_name_is_a_data_error(tmp_path):
     blob[21] = 0xFF  # first byte of the name
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="record 0 name is not UTF-8"):
-        load_checkpoint(path)
+        load_checkpoint(path, blank([("enc.w", np.zeros(2))], np.float32))
 
 
 def test_truncated_payload_detected(tmp_path):
@@ -128,4 +165,4 @@ def test_truncated_payload_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob + b"\x00\x00")
     with pytest.raises(DataError, match="trailing"):
-        load_checkpoint(path)
+        load_checkpoint(path, blank([("w", np.zeros(6))], np.float32))

@@ -9,6 +9,7 @@ import pytest
 
 from dctm.checkpoint import load_checkpoint, save_checkpoint
 from dctm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dctm.train import load_run
 
 TINY = [
     "--conv.channels=8",
@@ -229,7 +230,9 @@ def poisoned_run(run, tmp_path, poison):
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
     path = copy / "checkpoint.best.dctm"
-    records = {name: a.copy() for name, a in load_checkpoint(path).items()}
+    _, model, _, _ = load_run(copy)
+    load_checkpoint(path, model.named_parameters())
+    records = {name: p.data for name, p in model.named_parameters()}
     poison(records)
     save_checkpoint(path, list(records.items()))
     return copy

@@ -13,7 +13,7 @@ import dctm.transformer
 from dctm.config import ConvConfig, DctmConfig, DataConfig, FusionConfig
 from dctm.errors import ConfigError, ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion
-from dctm.layers import capture
+from dctm.layers import Arena, LayerNorm, capture
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel, conv_specs
 from dctm.optim import Adam
@@ -221,6 +221,21 @@ class TestIntrospection:
 
 
 class TestParameters:
+    def test_constant_parameters_own_no_memory_until_packed(self):
+        """`zeros` and `ones` parameters of a module outside an arena are
+        read-only zero-stride views; an `Arena` binds each to a writable
+        view of its buffer holding the same value."""
+        norm, mha = LayerNorm(4), MultiHeadAttention(8, 2, None)
+        params = list(norm.named_parameters()) + list(mha.named_parameters())
+        for name, p in params:
+            assert not p.data.flags.writeable and not p.data.flags.owndata, name
+            assert not any(p.data.strides), name
+        arena = Arena(params)
+        for name, p in params:
+            assert p.data.flags.writeable and p.data.base is arena.flat, name
+        assert norm.gain.data.tolist() == [1.0] * 4 and not norm.bias.data.any()
+        assert mha.w_in.shape == (8, 24) and not arena.flat[4:].any()
+
     def test_same_seed_same_parameters(self):
         a = DctmModel(small_cfg(), DIMS, np.random.default_rng(11))
         b = DctmModel(small_cfg(), DIMS, np.random.default_rng(11))

@@ -17,7 +17,7 @@ import dctm.parallel
 import dctm.tensor
 import dctm.train
 import dctm.verify
-from dctm.checkpoint import load_checkpoint, restore_into
+from dctm.checkpoint import load_checkpoint, save_checkpoint
 from dctm.cli import EXIT_CONFIG, main
 from dctm.config import (ConvConfig, DataConfig, DctmConfig, FusionConfig, OptimConfig,
                          resolve_config)
@@ -303,7 +303,7 @@ def assert_views_of_the_arena(model):
 
 class TestParameterArena:
     """No path rebinds a parameter's ``.data``: each stays a view of its
-    model's arena, which Adam updates and checkpoints restore into."""
+    model's arena, which Adam updates and checkpoints are read into."""
 
     def test_after_fit(self):
         sessions = tiny_sessions()
@@ -317,9 +317,36 @@ class TestParameterArena:
         _, _, run, _ = run_env
         _, model, _, _ = load_run(run)
         assert_views_of_the_arena(model)
-        restore_into(list(model.named_parameters()), load_checkpoint(run / "checkpoint.best.dctm"))
+        load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
         assert_views_of_the_arena(model)
         assert np.any(model.arena.flat)
+
+    def test_opening_a_run_holds_the_arena_and_little_else(self, tmp_path):
+        """`load_run` builds a model owning no parameter memory but its
+        arena, and `load_checkpoint` reads the records straight into it:
+        the traced peak of both is the arena plus 1 MiB at the default
+        architecture (about 7.6 MiB of float32 weights)."""
+        dims = {"head": 4, "pose": 5, "voice": 3}
+        drawn = DctmModel(DctmConfig(), dims, np.random.default_rng(0))
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.txt").write_text("")     # every setting at its default
+        (run / "meta.json").write_text(json.dumps({"feature_dims": dims}))
+        normalize(tiny_sessions())[1].save(run / "norm_stats.csv")
+        save_checkpoint(run / "checkpoint.best.dctm",
+                        [(name, p.data) for name, p in drawn.named_parameters()])
+        tracemalloc.start()
+        try:
+            _, model, _, _ = load_run(run)
+            for name, p in model.named_parameters():
+                assert np.shares_memory(p.data, model.arena.flat), name
+            load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= model.arena.flat.nbytes + 2 ** 20
+        assert model.arena.flat.tobytes() == drawn.arena.flat.tobytes()
+        assert_views_of_the_arena(model)
 
     def test_after_verify_fills_zero_weights(self):
         model = DctmModel(tiny_cfg(), {"head": 4, "pose": 5, "voice": 3},
@@ -330,6 +357,32 @@ class TestParameterArena:
 
 
 class TestEvaluateRun:
+    @pytest.mark.parametrize("entry", ["evaluate", "predict"])
+    def test_reads_one_checkpoint_into_one_model(self, run_env, tmp_path, monkeypatch,
+                                                 entry):
+        """The benchmark times scoring set-up by wrapping `train.load_checkpoint`
+        and `DctmModel.__init__` by name: each must run exactly once per call,
+        or those spans would time nothing."""
+        _, _, run, _ = run_env
+        calls = []
+        real_load, real_init = dctm.train.load_checkpoint, DctmModel.__init__
+
+        def load(*args, **kwargs):
+            calls.append("load")
+            return real_load(*args, **kwargs)
+
+        def init(self, *args, **kwargs):
+            calls.append("build")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dctm.train, "load_checkpoint", load)
+        monkeypatch.setattr(DctmModel, "__init__", init)
+        if entry == "evaluate":
+            evaluate_run(run, split="val")
+        else:
+            predict_run(run, tmp_path / "scores", split="val")
+        assert sorted(calls) == ["build", "load"]
+
     def test_matches_training_report_exactly(self, run_env):
         _, _, run, report = run_env
         again = evaluate_run(run, split="val", which="best")
@@ -717,8 +770,7 @@ class TestScoreRun:
         cfg = resolve_config(run / "config.txt")
         model = DctmModel(cfg, json.loads((run / "meta.json").read_text())["feature_dims"],
                           np.random.default_rng(cfg.seed))
-        restore_into(list(model.named_parameters()),
-                     load_checkpoint(run / "checkpoint.best.dctm"))
+        load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
         sessions, _ = normalize(load_split_sessions(root, "val"),
                                 stats=NormStats.load(run / "norm_stats.csv"))
         expected = _serial_scores(model, sessions, cfg)

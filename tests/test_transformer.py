@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dctm.errors import ConfigError, ShapeError
-from dctm.layers import capture
+from dctm.layers import Arena, capture
 from dctm.reference import attention_single_head_loop
 from dctm.tensor import Tensor, xavier_uniform
 from dctm.transformer import (
@@ -75,6 +75,7 @@ class TestMultiHeadAttention:
 
     def test_zero_query_gives_uniform_weights(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
+        Arena(mha.named_parameters())   # b_in is read-only until packed
         mha.w_in.data[:, :8] = 0.0
         mha.b_in.data[:8] = 0.0
         x = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
