@@ -15,12 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import DctmConfig, to_flat
-from .conv import receptive_field
 from .data import MODALITIES, Session, load_split_sessions
 from .errors import ConfigError
 from .files import atomic_write
 from .metrics import magnitude_ccc
-from .model import conv_specs
 from .train import build_id, fit
 
 
@@ -57,12 +55,6 @@ def _cell_config(base: DctmConfig, conv_kind: str, fusion_kind: str,
     )
 
 
-def _cell_receptive_field(cfg: DctmConfig) -> int:
-    if cfg.conv.kind == "none":
-        return 1
-    return receptive_field(conv_specs(cfg, in_channels=1))
-
-
 def run_ablation(base: DctmConfig,
                  conv_kinds=("dilated", "traditional", "none"),
                  fusion_kinds=("sa", "gmu"),
@@ -97,7 +89,7 @@ def run_ablation(base: DctmConfig,
                         wall_time_s=0.0)
                     try:
                         cfg = _cell_config(base, conv_kind, fusion_kind, subject, mods)
-                        cell.receptive_field = _cell_receptive_field(cfg)
+                        cell.receptive_field = cfg.conv.receptive_field()
                         result = fit(cfg, train_sessions, val_sessions)
                         cell.val_ccc = (result.val_ccc_curve[result.best_epoch]
                                         if result.val_ccc_curve else None)

@@ -29,7 +29,7 @@ def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(named_arrays)))
         for name, arr in named_arrays:
-            payload = np.ascontiguousarray(arr, dtype=RECORD_DTYPE)
+            payload = np.asarray(arr, RECORD_DTYPE)   # a 0-d array stays rank 0
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)

@@ -29,7 +29,6 @@ class ConvConfig:
     kernels: tuple[int, ...] = (5, 5, 3)
     dilations: tuple[int, ...] = (4, 4, 4)
     channels: int = 64
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.kind not in CONV_KINDS:
@@ -54,6 +53,12 @@ class ConvConfig:
         if self.kind == "traditional":
             return tuple(1 for _ in self.dilations)
         return self.dilations
+
+    def receptive_field(self) -> int:
+        """Width of the input span that can influence one output frame (1 with no conv)."""
+        if self.kind == "none":
+            return 1
+        return 1 + sum(d * (k - 1) for k, d in zip(self.kernels, self.effective_dilations()))
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,6 @@ _SECTIONS = ("conv", "fusion", "transformer", "optim", "data")
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
@@ -144,13 +147,6 @@ def _format_value(value) -> str:
 def _parse_like(raw: str, template, key: str):
     raw = raw.strip()
     try:
-        if isinstance(template, bool):
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):

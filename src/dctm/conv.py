@@ -12,6 +12,7 @@ to the input length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,38 +37,59 @@ class ConvLayerSpec:
             raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
 
 
-def dilated_conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int) -> Tensor:
-    """Apply one dilated conv layer.
+def conv_stack(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
+               dilations: Sequence[int]) -> Tensor:
+    """A stack of dilated conv layers as one tape node, with a relu between
+    layers and none after the last.
 
-    x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,); a bias-free
-    kernel takes zeros, which add exactly. Returns (B, C_out, T). Tap k
-    reads the padded slice at dilation*k, so the forward is K accumulated
-    GEMMs and the backward keeps only the padded input.
+    x: (B, C_in, T); ``layers`` holds each layer's weight (C_out, C_in, K)
+    and bias (C_out,); a bias-free kernel takes zeros, which add exactly.
+    Returns the last layer's (B, C_out, T) output as its (B, T, C_out)
+    transposed view: channels-last tokens. Each layer copies its input into
+    a zeroed padded buffer (a hidden layer's relu writes straight into it)
+    and tap k reads the padded slice at dilation*k, so the forward is K
+    accumulated GEMMs per layer. The backward keeps only the padded inputs,
+    whose positive cells are the relu masks; it scatters no gradient into
+    an ``x`` that takes none.
     """
-    B, C_in, T = x.shape
-    C_out, C_w, K = weight.shape
-    if C_w != C_in:
-        raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {weight.shape}")
-    pad = dilation * (K - 1) // 2
-    xpad = np.zeros((B, C_in, T + 2 * pad), dtype=x.dtype)
-    xpad[:, :, pad:pad + T] = x.data
-    w, input_grad = weight.data, x.requires_grad
-    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
-    out = taps[0] @ xpad[:, :, :T]
-    for k in range(1, K):
-        out += taps[k] @ xpad[:, :, dilation * k:dilation * k + T]
-    out += bias.data[:, None]
+    B, _, T = x.shape
+    h, saved = x.data, []
+    for i, ((weight, bias), dilation) in enumerate(zip(layers, dilations)):
+        w = weight.data
+        C_out, C_in, K = w.shape
+        if h.shape[1] != C_in:
+            raise ShapeError(f"conv channel mismatch: input {h.shape} vs kernel {w.shape}")
+        pad = dilation * (K - 1) // 2
+        xpad = np.zeros((B, C_in, T + 2 * pad), dtype=x.dtype)
+        if i:   # the relu between layers
+            np.maximum(h, 0, out=xpad[:, :, pad:pad + T])
+        else:
+            xpad[:, :, pad:pad + T] = h
+        taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
+        h = taps[0] @ xpad[:, :, :T]
+        for k in range(1, K):
+            h += taps[k] @ xpad[:, :, dilation * k:dilation * k + T]
+        h += bias.data[:, None]
+        saved.append((xpad, w, dilation, pad))
+    input_grad = x.requires_grad
 
     def bw(g):
-        gx = _conv_input_grad(g, w, dilation, (B, C_in, T), pad) if input_grad else None
-        g2 = g.transpose(1, 0, 2).reshape(C_out, B * T)
-        gw = np.empty_like(w)
-        for k in range(K):
-            xs = xpad[:, :, dilation * k:dilation * k + T]
-            gw[:, :, k] = g2 @ xs.transpose(1, 0, 2).reshape(C_in, B * T).T
-        return gx, gw, g2 @ np.ones(B * T, g.dtype)
+        g, grads = g.transpose(0, 2, 1), []
+        for i in reversed(range(len(saved))):
+            xpad, w, dilation, pad = saved[i]
+            C_out, C_in, K = w.shape
+            gx = (_conv_input_grad(g, w, dilation, (B, C_in, T), pad)
+                  if i or input_grad else None)
+            g2 = g.transpose(1, 0, 2).reshape(C_out, B * T)
+            gw = np.empty_like(w)
+            for k in range(K):
+                xs = xpad[:, :, dilation * k:dilation * k + T]
+                gw[:, :, k] = g2 @ xs.transpose(1, 0, 2).reshape(C_in, B * T).T
+            grads[:0] = [gw, g2 @ np.ones(B * T, g.dtype)]
+            g = gx * (xpad[:, :, pad:pad + T] > 0) if i else gx
+        return (g, *grads)
 
-    return Tensor._op(out, (x, weight, bias), bw)
+    return Tensor._op(h.transpose(0, 2, 1), (x, *(p for pair in layers for p in pair)), bw)
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, dilation: int,
@@ -93,19 +115,14 @@ class ConvLayer(Module):
             fan_in=fan_in, fan_out=fan_out)
         self.bias = zeros((spec.out_channels,))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return dilated_conv1d(x, self.weight, self.bias, self.spec.dilation)
-
 
 class ConvStack(Module):
-    """Sequential dilated conv layers with an activation between layers.
+    """Sequential dilated conv layers with a relu strictly between layers
+    (none after the last), run as one `conv_stack` node; a single-layer
+    stack is therefore purely linear. Takes (B, C_in, T) features and
+    returns (B, T, C_out) tokens."""
 
-    The activation sits strictly between layers (none after the last);
-    a single-layer stack is therefore purely linear.
-    """
-
-    def __init__(self, specs: list[ConvLayerSpec], rng: np.random.Generator,
-                 activation: str = "relu"):
+    def __init__(self, specs: list[ConvLayerSpec], rng: np.random.Generator):
         super().__init__()
         if not specs:
             raise ConfigError("ConvStack needs at least one layer")
@@ -113,22 +130,8 @@ class ConvStack(Module):
             if a.out_channels != b.in_channels:
                 raise ConfigError(
                     f"adjacent conv layers disagree on channels: {a.out_channels} -> {b.in_channels}")
-        if activation not in ("relu", "tanh", "none"):
-            raise ConfigError(f"unknown conv activation '{activation}'")
-        self.activation = activation
         self.layers = ModuleList([ConvLayer(s, rng) for s in specs])
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                if self.activation == "relu":
-                    x = x.relu()
-                elif self.activation == "tanh":
-                    x = x.tanh()
-        return x
-
-
-def receptive_field(specs: list[ConvLayerSpec]) -> int:
-    """Width of the input span that can influence one output frame."""
-    return 1 + sum(s.dilation * (s.kernel_size - 1) for s in specs)
+        return conv_stack(x, [(layer.weight, layer.bias) for layer in self.layers],
+                          [layer.spec.dilation for layer in self.layers])

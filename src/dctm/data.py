@@ -295,10 +295,11 @@ class NormStats:
         return cls(names, np.asarray(mean), np.asarray(std))
 
 
-def compute_norm_stats(sessions: list[Session], modalities=MODALITIES) -> NormStats:
-    """Population mean/std per feature over all valid frames of `sessions`."""
+def compute_norm_stats(sessions: list[Session]) -> NormStats:
+    """Population mean/std per feature over all valid frames of `sessions`,
+    for each modality stream they hold (the first session's, in its order)."""
     names, means, stds = [], [], []
-    for m in modalities:
+    for m in sessions[0].streams:
         blocks = [s.streams[m].features[s.streams[m].valid_mask] for s in sessions]
         stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 0))
         feature_names = sessions[0].streams[m].feature_names

@@ -1,6 +1,6 @@
 """Modality fusion: channel concatenation vs hierarchical gated units.
 
-Both strategies take per-modality feature sequences shaped (B, C_m, T)
+Both strategies take per-modality token sequences shaped (B, T, C_m)
 and emit one fused token sequence (B, T, hidden).
 """
 
@@ -14,11 +14,11 @@ from .tensor import Tensor, cat, gated_unit
 
 
 def _check_aligned(streams: list[Tensor], names: list[str]) -> None:
-    b0, t0 = streams[0].shape[0], streams[0].shape[2]
+    b0, t0 = streams[0].shape[:2]
     for s, name in zip(streams, names):
-        if s.shape[0] != b0 or s.shape[2] != t0:
+        if s.shape[:2] != (b0, t0):
             raise ShapeError(
-                f"modality '{name}' is misaligned: {s.shape} vs expected (B={b0}, *, T={t0})")
+                f"modality '{name}' is misaligned: {s.shape} vs expected (B={b0}, T={t0}, *)")
 
 
 class ConcatFusion(Module):
@@ -34,8 +34,7 @@ class ConcatFusion(Module):
 
     def __call__(self, streams: list[Tensor], names: list[str]) -> Tensor:
         _check_aligned(streams, names)
-        tokens = [s.transpose(0, 2, 1) for s in streams]  # (B, T, C_m)
-        merged = cat(tokens, axis=-1) if len(tokens) > 1 else tokens[0]
+        merged = cat(streams, axis=-1) if len(streams) > 1 else streams[0]
         return self.proj(merged)
 
 
@@ -93,12 +92,13 @@ class GatedFusion(Module):
 
     def __call__(self, streams: list[Tensor], names: list[str]) -> Tensor:
         _check_aligned(streams, names)
-        tokens = [s.transpose(0, 2, 1) for s in streams]
-        if len(tokens) == 1:
-            return self.solo(tokens[0]).tanh()
-        acc = self.units[0].fuse(tokens[0], tokens[1], names=(names[0], names[1]))
+        if len(streams) == 1:
+            h = self.solo(streams[0])
+            out = np.tanh(h.data)
+            return Tensor._op(out, (h,), lambda g: (g * (1.0 - out * out),))
+        acc = self.units[0].fuse(streams[0], streams[1], names=(names[0], names[1]))
         label = f"{names[0]}+{names[1]}"
-        for unit, tok, name in zip(list(self.units)[1:], tokens[2:], names[2:]):
+        for unit, tok, name in zip(list(self.units)[1:], streams[2:], names[2:]):
             acc = unit.fuse(acc, tok, names=(label, name))
             label = f"{label}+{name}"
         return acc

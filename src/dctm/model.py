@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DctmConfig
-from .conv import ConvLayerSpec, ConvStack, receptive_field
+from .conv import ConvLayerSpec, ConvStack
 from .errors import ConfigError, ShapeError
 from .fusion import ConcatFusion, GatedFusion
 from .layers import Arena, Module, capture
@@ -67,8 +67,7 @@ class DctmModel(Module):
             fused_dims = [self.feature_dims[m] for m in self.modalities]
         else:
             for m in self.modalities:
-                stack = ConvStack(conv_specs(cfg, self.feature_dims[m]), rng,
-                                  activation=cfg.conv.activation)
+                stack = ConvStack(conv_specs(cfg, self.feature_dims[m]), rng)
                 setattr(self, f"conv_{m}", stack)
                 self.stacks[m] = stack
             fused_dims = [cfg.conv.channels for _ in self.modalities]
@@ -98,21 +97,13 @@ class DctmModel(Module):
                 raise ShapeError(
                     f"modality {m!r} expects (B, {self.feature_dims[m]}, W) "
                     f"features, got {block.shape}")
-            x = block if isinstance(block, Tensor) else Tensor(
-                np.asarray(block, dtype=self.cfg.dtype))
-            if self.stacks:
-                x = self.stacks[m](x)
-            streams.append(x)
+            x = np.asarray(block, dtype=self.cfg.dtype)
+            # with no conv the tokens are a view of the features, which take no gradient
+            streams.append(self.stacks[m](Tensor(x)) if self.stacks
+                           else Tensor(x.transpose(0, 2, 1)))
         tokens = self.fusion(streams, self.modalities)
         decoded = self.core(tokens, rng, training=training)
         return self.head(decoded)
-
-    def receptive_field(self) -> int:
-        """Frames of input influencing one conv output frame (1 if no conv)."""
-        if not self.stacks:
-            return 1
-        first = self.stacks[self.modalities[0]]
-        return receptive_field([layer.spec for layer in first.layers])
 
     def inspect(self, features: dict[str, np.ndarray]) -> Inspection:
         """Score ``features`` on the calling thread, without dropout or a

@@ -178,6 +178,18 @@ def numpy_conv1d(x, w, bias, dilation):
     return out
 
 
+def numpy_conv_stack(arrays, dilations):
+    """``conv_stack`` in plain NumPy over ``arrays`` = [x, w0, b0, w1, b1, ...]:
+    ``numpy_conv1d`` per layer with a mask relu between layers, returned
+    channels-last, (B, T, C_out)."""
+    x = arrays[0]
+    for i, dilation in enumerate(dilations):
+        if i:
+            x = x * (x.real > 0)
+        x = numpy_conv1d(x, arrays[1 + 2 * i], arrays[2 + 2 * i], dilation)
+    return x.transpose(0, 2, 1)
+
+
 def numpy_ccc_loss(pred, target, mask=None):
     """1 - CCC per window, batch mean, in plain NumPy: ``ccc_loss``'s forward,
     the same ops in the same order, so its value must match byte for byte.

@@ -21,9 +21,11 @@ calling thread only.
 
 Each layer of the model is one fused op with a closed-form backward:
 ``linear``, ``feed_forward``, ``layer_norm``, ``residual_norm``,
-``attention_block`` and ``gated_unit`` here, ``dilated_conv1d`` in
+``attention_block`` and ``gated_unit`` here, ``conv_stack`` in
 ``conv.py`` and ``ccc_loss`` in ``metrics.py``. A fused op is one tape
-node, whatever number of GEMMs it runs.
+node, whatever number of GEMMs it runs; the few pointwise steps between
+layers (the positional add, the head's sigmoid) are inline ``Tensor._op``
+calls where they are used. ``Tensor`` itself has no arithmetic.
 
 The fused kernels reduce short axes two ways. A per-frame reduction (a
 row mean, the softmax denominator, a one-column projection) is an
@@ -69,26 +71,6 @@ def no_grad():
 def _released(g):
     raise RuntimeError("backward() reached a graph node that an earlier backward() "
                        "already released; build the graph again to differentiate it")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _check_broadcast(a_shape: tuple, b_shape: tuple, op: str) -> None:
-    try:
-        np.broadcast_shapes(a_shape, b_shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a_shape} and {b_shape} do not broadcast") from None
 
 
 class _Node:
@@ -137,12 +119,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        # scalars follow this tensor's dtype so float32 graphs stay float32
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod
@@ -181,62 +157,6 @@ class Tensor:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
             node.backward, node.parents, node.grad = _released, (), None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape, "add")
-        out = self.data + other.data
-        a_shape, b_shape = self.shape, other.shape
-        return Tensor._op(out, (self, other),
-                          lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape, "mul")
-        a, b = self.data, other.data
-        out = a * b
-        return Tensor._op(
-            out, (self, other),
-            lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)),
-        )
-
-    # -- pointwise nonlinearities -------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return Tensor._op(out, (self,), lambda g: (g * (1.0 - out * out),))
-
-    def sigmoid(self) -> "Tensor":
-        x = self.data
-        # stable form; exp only ever sees non-positive arguments
-        e = np.exp(-np.abs(x))
-        out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        return Tensor._op(out, (self,), lambda g: (g * out * (1.0 - out),))
-
-    def relu(self) -> "Tensor":
-        out = np.maximum(self.data, 0)
-        # the backward keeps the sign mask (a byte a cell), not the input
-        positive = self.data > 0
-        return Tensor._op(out, (self,), lambda g: (g * positive,))
-
-    # -- reduction and shape manipulation ------------------------------------
-
-    def sum(self) -> "Tensor":
-        """Sum of every element, as a 0-d tensor of the same dtype."""
-        shape = self.shape
-        return Tensor._op(self.data.sum(), (self,), lambda g: (np.broadcast_to(g, shape),))
-
-    def reshape(self, *shape) -> "Tensor":
-        old = self.shape
-        out = self.data.reshape(shape)
-        return Tensor._op(out, (self,), lambda g: (g.reshape(old),))
-
-    def transpose(self, *axes) -> "Tensor":
-        inv = tuple(np.argsort(axes))
-        out = self.data.transpose(axes)
-        return Tensor._op(out, (self,), lambda g: (g.transpose(inv),))
 
 
 def _toposort(root: Tensor) -> list:

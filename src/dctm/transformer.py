@@ -26,7 +26,6 @@ class TransformerSettings:
     decoder_layers: int = 4
     ff_dim: int = 512
     dropout: float = 0.1
-    use_positional: bool = True
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
@@ -147,8 +146,8 @@ class EncoderDecoder(Module):
 
     def __call__(self, tokens: Tensor, rng, training: bool = False) -> Tensor:
         B, T, D = tokens.shape
-        if self.cfg.use_positional:
-            tokens = tokens + Tensor(positional_encoding(T, D, tokens.dtype))
+        tokens = Tensor._op(tokens.data + positional_encoding(T, D, tokens.dtype), (tokens,),
+                            lambda g: (g,))
         memory = tokens
         for layer in self.encoder:
             memory = layer(memory, rng, training)
@@ -168,5 +167,12 @@ class RegressionHead(Module):
         self.out = Linear(hidden, 1, rng, zero_init=True)
 
     def __call__(self, decoded: Tensor) -> Tensor:
+        """(B, T) scores: the (B, T, 1) projection through a stable sigmoid,
+        whose ``exp`` only ever sees non-positive arguments, as one node
+        that also drops the unit axis."""
         B, T, _ = decoded.shape
-        return self.out(decoded).sigmoid().reshape(B, T)
+        s = self.out(decoded)
+        x = s.data.reshape(B, T)
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        return Tensor._op(out, (s,), lambda g: ((g * out * (1.0 - out)).reshape(B, T, 1),))

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conv import ConvLayerSpec, ConvStack, dilated_conv1d, receptive_field
+from .config import ConvConfig, DctmConfig
+from .conv import ConvStack, conv_stack
 from .layers import Arena, capture
 from .metrics import ccc, ccc_loss
+from .model import conv_specs
 from .reference import (attention_single_head_loop, ccc_two_pass, complex_step_grads,
                         conv1d_direct, conv1d_flip, numpy_attention_block, numpy_ccc_loss,
-                        numpy_conv1d, numpy_feed_forward, numpy_gated_unit, numpy_layer_norm)
+                        numpy_conv_stack, numpy_feed_forward, numpy_gated_unit, numpy_layer_norm)
 from .tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
                      residual_norm)
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
@@ -66,6 +68,12 @@ def _timed(name: str, fn) -> CheckResult:
 # ---------------------------------------------------------------------------
 # gradient checks, one entry per differentiable operation
 
+def probed(out: Tensor, probe: np.ndarray) -> Tensor:
+    """``sum(out * probe)`` as one tape node: a scalar whose gradient with
+    respect to ``out`` is ``probe``."""
+    return Tensor._op(np.sum(out.data * probe), (out,), lambda g: (g * probe,))
+
+
 def gradient_error(arrays, op, reference, dtype, rng) -> float:
     """Worst ``|got - want| / (1 + |want|)`` over the output of ``op`` and every
     input's gradient of ``sum(op(...) * probe)``, a random ``probe``, with
@@ -76,7 +84,7 @@ def gradient_error(arrays, op, reference, dtype, rng) -> float:
     ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     out = op(ts)
     probe = rng.standard_normal(out.shape).astype(dtype)
-    (out * Tensor(probe)).sum().backward()
+    probed(out, probe).backward()
     got = [out.data] + [t.grad for t in ts]
     for i, g in enumerate(got):
         what = f"input {i - 1}'s gradient" if i else "the output"
@@ -92,14 +100,6 @@ def _grad_cases(rng):
     """(name, case) pairs covering every op's backward; each ``case()`` draws
     fresh float64 arrays and returns ``(arrays, op, reference)``: the op over
     Tensors and its NumPy forward over arrays, complex ones included."""
-
-    def away_from_zero(shape, margin):
-        x = rng.standard_normal(shape)
-        return x + margin * np.sign(x)
-
-    def elementwise(n, margin=0.0):
-        shape = tuple(rng.integers(1, 5, size=int(rng.integers(1, 4))))
-        return [away_from_zero(shape, margin) for _ in range(n)]
 
     def linear_arrays():
         # B, T > 1: the weight gradient sums over every flattened frame
@@ -133,14 +133,21 @@ def _grad_cases(rng):
                 lambda z: numpy_layer_norm(z[0] + z[1] * multiplier, z[2], z[3]))
 
     def conv_case():
-        B, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
-        T = int(rng.integers(1, 10))
-        K = int(rng.choice([1, 3, 5]))
-        arrays = [rng.standard_normal((B, ci, T)), rng.standard_normal((co, ci, K)),
-                  rng.standard_normal(co)]
-        dil = int(rng.integers(1, 4))
-        return (arrays, lambda ts: dilated_conv1d(ts[0], ts[1], ts[2], dil),
-                lambda z: numpy_conv1d(*z, dil))
+        # 1 to 3 layers, weights scaled by 1/sqrt(fan-in) like Xavier's
+        B, T, n = int(rng.integers(1, 4)), int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        channels = [int(c) for c in rng.integers(1, 4, size=n + 1)]
+        kernels = [int(k) for k in rng.choice([1, 3, 5], size=n)]
+        dilations = [int(d) for d in rng.integers(1, 4, size=n)]
+        while True:
+            # the relu's kink is not differentiable: keep every hidden cell off it
+            arrays = [rng.standard_normal((B, channels[0], T))]
+            for c_in, c_out, K in zip(channels, channels[1:], kernels):
+                arrays += [rng.standard_normal((c_out, c_in, K)) / np.sqrt(c_in * K),
+                           rng.standard_normal(c_out)]
+            hidden = [numpy_conv_stack(arrays, dilations[:i]) for i in range(1, n)]
+            if all(np.abs(h).min() > 1e-3 for h in hidden):
+                return (arrays, lambda ts: conv_stack(ts[0], pairs(ts[1:]), dilations),
+                        lambda z: numpy_conv_stack(z, dilations))
 
     def projections(*shapes):
         """Flat (weight, bias) arrays for weights of ``shapes``, each weight
@@ -209,20 +216,13 @@ def _grad_cases(rng):
                 lambda z: numpy_ccc_loss(z[0], target, mask))
 
     return [
-        ("add", lambda: (elementwise(2), lambda ts: ts[0] + ts[1], lambda z: z[0] + z[1])),
-        ("mul", lambda: (elementwise(2), lambda ts: ts[0] * ts[1], lambda z: z[0] * z[1])),
-        ("tanh", lambda: (elementwise(1), lambda ts: ts[0].tanh(), lambda z: np.tanh(z[0]))),
-        ("sigmoid", lambda: (elementwise(1), lambda ts: ts[0].sigmoid(),
-                             lambda z: 1.0 / (1.0 + np.exp(-z[0])))),
-        ("relu", lambda: (elementwise(1, margin=0.2), lambda ts: ts[0].relu(),
-                          lambda z: z[0] * (z[0].real > 0))),
         ("linear", lambda: (linear_arrays(), lambda ts: linear(*ts),
                             lambda z: z[0] @ z[1] + z[2])),
         ("feed_forward", feed_forward_case),
         ("layer_norm", lambda: (layer_norm_arrays(), lambda ts: layer_norm(*ts),
                                 lambda z: numpy_layer_norm(*z))),
         ("residual_norm", residual_norm_case),
-        ("dilated_conv1d", conv_case),
+        ("conv_stack", conv_case),
         ("attention", attention_case),
         ("gmu", gmu_case),
         ("sigmoid_head", head_case),
@@ -257,9 +257,13 @@ def check_gradient_suite(n_cases: int = 20, seed: int = 0) -> list[CheckResult]:
 def check_conv_oracle(cases: int = 50, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
 
+    def conv(x, w, b, dil):
+        """One ``conv_stack`` layer, (B, C_out, T) again."""
+        return conv_stack(Tensor(x), [(Tensor(w), Tensor(b))], [dil]).data.transpose(0, 2, 1)
+
     def unbiased(x, w, dil):
         # a zero bias adds +0.0, which is exact, so the equalities below stay exact
-        return dilated_conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(w.shape[0])), dil).data
+        return conv(x, w, np.zeros(w.shape[0]), dil)
 
     def run():
         for _ in range(cases):
@@ -270,7 +274,7 @@ def check_conv_oracle(cases: int = 50, seed: int = 0) -> CheckResult:
             x = rng.standard_normal((B, ci, T))
             w = rng.standard_normal((co, ci, K))
             b = rng.standard_normal(co)
-            got = dilated_conv1d(Tensor(x), Tensor(w), Tensor(b), dil).data
+            got = conv(x, w, b, dil)
             want = conv1d_direct(x, w, b, dil)
             err = np.abs(got - want).max()
             assert err <= 1e-12, f"direct-summation mismatch {err:.2e}"
@@ -325,24 +329,25 @@ def check_receptive_field(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
 
     def run():
-        specs = [ConvLayerSpec(2, 4, 5, 4), ConvLayerSpec(4, 4, 5, 4),
-                 ConvLayerSpec(4, 4, 3, 4)]
-        rf = receptive_field(specs)
+        cfg = DctmConfig(conv=ConvConfig(channels=4))
+        rf = cfg.conv.receptive_field()
         assert rf == 41, f"default stack reports rf={rf}, expected 41"
-        assert receptive_field([ConvLayerSpec(2, 4, 5, 1), ConvLayerSpec(4, 4, 5, 1),
-                                ConvLayerSpec(4, 4, 3, 1)]) == 11
+        assert replace(cfg.conv, kind="traditional").receptive_field() == 11
 
-        # linear stack: same receptive field, but no relu gating that could
-        # zero out an in-field path by chance
-        stack = ConvStack(specs, rng, activation="none")
+        # the production relu stack with positive weights and inputs: every
+        # relu is open, so the stack is linear and no relu can zero an
+        # in-field path by chance
+        stack = ConvStack(conv_specs(cfg, 2), rng)
+        for layer in stack.layers:
+            np.abs(layer.weight.data, out=layer.weight.data)
         half = (rf - 1) // 2
         T = 64
-        x = rng.standard_normal((1, 2, T))
+        x = 0.5 + rng.random((1, 2, T))
         base = stack(Tensor(x)).data
         bumped = x.copy()
         bumped[0, :, 0] += 1.0
         out = stack(Tensor(bumped)).data
-        delta = np.abs(out - base).max(axis=(0, 1))
+        delta = np.abs(out - base).max(axis=(0, 2))
         beyond = delta[half + 1:]
         within = delta[:half + 1]
         assert beyond.max() <= 1e-12, \

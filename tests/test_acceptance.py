@@ -127,14 +127,12 @@ def test_criterion_02_conv_oracle():
 
 
 def test_criterion_03_receptive_field():
-    model = DctmModel(DctmConfig(), {"head": 8, "pose": 12, "voice": 10},
-                      np.random.default_rng(0))
-    rf_ok = model.receptive_field() == 41
+    rf = DctmConfig().conv.receptive_field()
     probe = check_receptive_field(seed=0)
-    ok = rf_ok and probe.passed
+    ok = rf == 41 and probe.passed
     _verdict(3, "default stack reports rf=41; perturbation probe finds zero "
                 "influence beyond it (<=1e-12) and nonzero within",
-             ok, f"model rf {model.receptive_field()}; probe: {probe.detail}")
+             ok, f"model rf {rf}; probe: {probe.detail}")
 
 
 def test_criterion_04_ccc_correctness():

@@ -176,6 +176,20 @@ class TestConfigErrors:
                      f"--data.root={tmp_path / 'data'}"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("conv.activation", "relu"),
+                                            ("transformer.use_positional", "true")])
+    def test_run_naming_a_deleted_key_is_refused(self, flow, tmp_path, capsys, key, value):
+        """A run directory whose ``config.txt`` names a key the model no
+        longer has, as runs written with the deleted knobs do, exits 1."""
+        root, run = flow
+        shutil.copytree(run, tmp_path / "run")
+        config = tmp_path / "run" / "config.txt"
+        config.write_text(config.read_text() + f"{key} = {value}\n")
+        assert main(["evaluate", "--run", str(tmp_path / "run"),
+                     f"--data.root={root}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
+
     def test_unknown_split(self, flow):
         _, run = flow
         assert main(["evaluate", "--run", str(run), "--split", "test"]) == EXIT_CONFIG

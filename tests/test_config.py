@@ -62,7 +62,6 @@ class TestFlatRoundTrip:
         assert flat["optim.lr"] == "1e-06"
         assert flat["optim.epochs"] == "30"
         assert flat["data.modalities"] == "head,pose,voice"
-        assert flat["transformer.use_positional"] == "true"
         assert flat["seed"] == "0"
         assert flat["precision"] == "float32"
 
@@ -85,23 +84,25 @@ class TestFlatRoundTrip:
         assert cfg.optim.epochs == 30          # untouched default
         assert cfg.data.window == 64
 
-    def test_tuple_and_bool_parsing(self):
+    def test_tuple_parsing(self):
         cfg = from_flat({
             "conv.kernels": "3,5,3",
             "conv.dilations": "1,2,4",
             "data.modalities": "voice,head",
-            "transformer.use_positional": "false",
         })
         assert cfg.conv.kernels == (3, 5, 3)
         assert cfg.conv.dilations == (1, 2, 4)
         assert cfg.data.modalities == ("voice", "head")
-        assert cfg.transformer.use_positional is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             from_flat({"optim.momentum": "0.9"})
         with pytest.raises(ConfigError, match="unknown config key"):
             from_flat({"banana": "1"})
+        # keys of knobs that had one production value and were deleted
+        for key, value in (("conv.activation", "relu"), ("transformer.use_positional", "true")):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                from_flat({key: value})
 
     def test_unparsable_value_names_key(self):
         with pytest.raises(ConfigError, match="conv.channels"):

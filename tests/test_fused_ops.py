@@ -1,13 +1,13 @@
 """The fused ops ``linear``, ``feed_forward``, ``layer_norm``,
-``residual_norm``, ``attention_block``, ``gated_unit``, ``dilated_conv1d``
-and ``ccc_loss`` against numpy, loop, composed-op and complex-step
-references, in float64 and float32.
+``residual_norm``, ``attention_block``, ``gated_unit``, ``conv_stack``
+and ``ccc_loss``, and the gated fusion's single-modality tanh, against
+numpy, loop and complex-step references, in float64 and float32.
 
 Each op is one tape node with a hand-written backward, so these tests pin
 its forward to an independent formula, its backward to a reference
 gradient, and its dtype: a float32 input gives a float32 output and
 float32 gradients. The ``feed_forward``, ``layer_norm``,
-``attention_block``, ``gated_unit``, ``dilated_conv1d`` and ``ccc_loss``
+``attention_block``, ``gated_unit``, ``conv_stack`` and ``ccc_loss``
 references differentiate plain NumPy forwards by complex step, which is
 exact to rounding; both live in ``dctm.reference``, which ``dctm verify``
 shares. The kernels write into buffers they allocate; no
@@ -24,18 +24,19 @@ import dctm.metrics
 import dctm.tensor
 from dctm.cli import EXIT_VERIFY, main
 from dctm.config import ConvConfig, DctmConfig, FusionConfig
-from dctm.conv import dilated_conv1d
+from dctm.conv import conv_stack
 from dctm.errors import ShapeError
+from dctm.fusion import GatedFusion
 from dctm.layers import LayerNorm, dropout_mask
 from dctm.metrics import ccc_loss
 from dctm.model import DctmModel
 from dctm.reference import (attention_single_head_loop, complex_step_grads, numpy_attention_block,
-                            numpy_ccc_loss, numpy_conv1d, numpy_feed_forward, numpy_gated_unit,
-                            numpy_layer_norm)
+                            numpy_ccc_loss, numpy_conv_stack, numpy_feed_forward,
+                            numpy_gated_unit, numpy_layer_norm)
 from dctm.tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
                          residual_norm)
 from dctm.transformer import TransformerSettings
-from dctm.verify import TOL
+from dctm.verify import TOL, probed
 
 DTYPES = list(TOL)
 
@@ -57,7 +58,7 @@ def grads_of(op, arrays, probe):
     """Forward value and every input's gradient of ``sum(op(...) * probe)``."""
     ts = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(ts)
-    (out * Tensor(probe.astype(out.dtype))).sum().backward()
+    probed(out, probe.astype(out.dtype)).backward()
     return out, [t.grad for t in ts]
 
 
@@ -125,7 +126,7 @@ def test_complex_step_reference_sees_a_1e9_layer_norm_error(monkeypatch, capsys)
 
     monkeypatch.setattr(dctm.tensor, "_layer_norm_backward", skewed)
     assert main(["verify"]) == EXIT_VERIFY
-    assert "FAILED (2/18): grad/layer_norm, grad/residual_norm\n" in capsys.readouterr().out
+    assert "FAILED (2/13): grad/layer_norm, grad/residual_norm\n" in capsys.readouterr().out
 
 
 def pairs(ts):
@@ -313,23 +314,20 @@ def test_residual_norm_matches_composed_dropout_add_norm(rng, dtype, training):
     drop = dropout_mask(Tensor(x), rate, np.random.default_rng(5), training)
     assert (drop is None) == (not training)
 
-    def composed(ts):
-        if drop is None:
-            return layer_norm(ts[0] + ts[1], ts[2], ts[3])
-        keep, scale = drop
-        multiplier = keep.astype(ts[1].dtype) * np.asarray(scale, ts[1].dtype)
-        return layer_norm(ts[0] + ts[1] * Tensor(multiplier), ts[2], ts[3])
-
     out, grads = grads_of(lambda ts: residual_norm(ts[0], ts[1], drop, ts[2], ts[3]),
                           [x, y, gain, bias], probe)
     assert_dtype(out, grads, dtype)
     # inverted dropout as a separate multiply, from the same draw: bit-identical
     drawn = np.random.default_rng(5).random(x.shape) >= rate
+    multiplier = drawn / (1.0 - rate) if training else 1.0
     dropped = y * (drawn.astype(dtype) / np.asarray(1.0 - rate, dtype)) if training else y
     want = layer_norm(Tensor(x + dropped), Tensor(gain), Tensor(bias)).data
     assert np.array_equal(out.data, want)
 
-    _, ref = grads_of(composed, [a.astype(np.float64) for a in (x, y, gain, bias)], probe)
+    arrays64 = [a.astype(np.float64) for a in (x, y, gain, bias)]
+    ref = complex_step_grads(
+        lambda z: (numpy_layer_norm(z[0] + z[1] * multiplier, z[2], z[3]) * probe).sum(),
+        arrays64)
     for got, r in zip(grads, ref):
         assert_close(got, r, dtype)
 
@@ -353,28 +351,70 @@ def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     out = norm(x, y, None)
     assert out._node.parents == (x, y, norm.gain, norm.bias)
-    assert np.array_equal(out.data, norm(x + y).data)
+    assert np.array_equal(out.data, norm(Tensor(x.data + y.data)).data)
 
 
-# (B, C_in, C_out, T, K, dilation); "short" cases have T below the padding of 8
-CONV_CASES = {"dilated": (2, 3, 4, 9, 3, 2), "undilated": (2, 3, 2, 6, 5, 1),
-              "short_1": (2, 2, 3, 1, 5, 4), "short_7": (1, 3, 2, 7, 5, 4)}
+# (B, C_in, T) and per layer (C_out, K, dilation); "short" cases have T
+# below the padding of 8
+CONV_CASES = {"dilated": (2, 3, 9, [(4, 3, 2)]), "undilated": (2, 3, 6, [(2, 5, 1)]),
+              "short_1": (2, 2, 1, [(3, 5, 4)]), "short_7": (1, 3, 7, [(2, 5, 4)]),
+              "stack_3": (2, 3, 9, [(4, 5, 2), (3, 3, 1), (2, 3, 3)]),
+              "stack_2_short": (1, 2, 3, [(3, 3, 2), (2, 5, 4)])}
+
+
+def conv_arrays(rng, case, dtype):
+    """(input and per-layer weight and bias arrays, dilations) of a ``CONV_CASES`` case."""
+    B, c_in, T, layers = CONV_CASES[case]
+    arrays = [rng.standard_normal((B, c_in, T))]
+    for c_out, K, _ in layers:
+        arrays += [rng.standard_normal((c_out, c_in, K)) / np.sqrt(c_in * K),
+                   rng.standard_normal(c_out)]
+        c_in = c_out
+    return [a.astype(dtype) for a in arrays], [d for _, _, d in layers]
+
+
+def conv_op(dilations):
+    return lambda ts: conv_stack(ts[0], pairs(ts[1:]), dilations)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("case", list(CONV_CASES))
 def test_dilated_conv1d_matches_direct_sum_and_complex_step(rng, case, dtype):
-    B, C_in, C_out, T, K, dilation = CONV_CASES[case]
-    x = rng.standard_normal((B, C_in, T)).astype(dtype)
-    w = rng.standard_normal((C_out, C_in, K)).astype(dtype)
-    b = rng.standard_normal(C_out).astype(dtype)
-    probe = rng.standard_normal((B, C_out, T))
-    out, grads = grads_of(lambda ts: dilated_conv1d(*ts, dilation), [x, w, b], probe)
+    """``conv_stack``, one layer or several with a relu between them, against
+    ``numpy_conv1d`` chained with a mask relu; the output is channels-last."""
+    arrays, dilations = conv_arrays(rng, case, dtype)
+    B, _, T = arrays[0].shape
+    probe = rng.standard_normal((B, T, arrays[-1].shape[0]))
+    out, grads = grads_of(conv_op(dilations), arrays, probe)
     assert_dtype(out, grads, dtype)
 
+    arrays64 = [a.astype(np.float64) for a in arrays]
+    assert_close(out.data, numpy_conv_stack(arrays64, dilations), dtype)
+    want = complex_step_grads(lambda z: (numpy_conv_stack(z, dilations) * probe).sum(),
+                              arrays64)
+    for got, ref in zip(grads, want):
+        assert_close(got, ref, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_single_modality_gated_fusion_tanh_matches_complex_step(rng, dtype):
+    """``GatedFusion`` with one modality is ``tanh(x W + b)``: its linear node
+    and the inline tanh node after it."""
+    D, H = 4, 5
+    fusion = GatedFusion([D], hidden=H, rng=None)
+    x = rng.standard_normal((2, 3, D)).astype(dtype)
+    w, b = (rng.standard_normal(shape).astype(dtype) for shape in ((D, H), (H,)))
+    probe = rng.standard_normal((2, 3, H))
+
+    def op(ts):
+        fusion.solo.weight, fusion.solo.bias = ts[1], ts[2]
+        return fusion(ts[:1], ["voice"])
+
+    out, grads = grads_of(op, [x, w, b], probe)
+    assert_dtype(out, grads, dtype)
     arrays64 = [a.astype(np.float64) for a in (x, w, b)]
-    assert_close(out.data, numpy_conv1d(*arrays64, dilation), dtype)
-    want = complex_step_grads(lambda z: (numpy_conv1d(*z, dilation) * probe).sum(), arrays64)
+    assert_close(out.data, np.tanh(arrays64[0] @ arrays64[1] + arrays64[2]), dtype)
+    want = complex_step_grads(lambda z: (np.tanh(z[0] @ z[1] + z[2]) * probe).sum(), arrays64)
     for got, ref in zip(grads, want):
         assert_close(got, ref, dtype)
 
@@ -406,7 +446,8 @@ NO_MUTATION = {
     "cross_attention": (attention_op(False), [(2, 3, 4), (2, 5, 4), (4, 12), (12,), (4, 4), (4,)]),
     "gated_unit": (lambda ts: gated_unit(ts[0], ts[1], pairs(ts[2:]))[0],
                    [(2, 3, 4), (2, 3, 2), (4, 5), (5,), (2, 5), (5,), (6, 5), (5,)]),
-    "dilated_conv1d": (lambda ts: dilated_conv1d(*ts, 2), [(2, 3, 6), (4, 3, 3), (4,)]),
+    "dilated_conv1d": (conv_op([2]), [(2, 3, 6), (4, 3, 3), (4,)]),
+    "conv_stack": (conv_op([2, 1]), [(2, 3, 6), (4, 3, 3), (4,), (2, 4, 5), (2,)]),
 }
 
 
@@ -421,7 +462,7 @@ def test_forward_and_backward_leave_inputs_unwritten(rng, name, dtype):
     result = op(ts)
     out, weights = result if isinstance(result, tuple) else (result, None)
     assert out.dtype == dtype
-    (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
+    probed(out, rng.standard_normal(out.shape).astype(dtype)).backward()
     assert [t.data.tobytes() for t in ts] == before
     assert KEEP[dtype][0].tobytes() == keep_before
     if weights is not None:
@@ -443,11 +484,10 @@ def column_sum_case(rng, name, dtype):
 
     def draw(*shape):
         return rng.standard_normal(shape).astype(dtype)
-    if name == "dilated_conv1d":
-        g = draw(B, D, T).astype(np.float64)
-        op, arrays = lambda ts: dilated_conv1d(*ts, 4), [draw(B, 8, T), draw(D, 8, 5), draw(D)]
-        return op, arrays, g, {2: g.transpose(0, 2, 1).reshape(-1, D)}
     g = draw(B, T, D).astype(np.float64)
+    if name == "dilated_conv1d":
+        op, arrays = conv_op([4]), [draw(B, 8, T), draw(D, 8, 5), draw(D)]
+        return op, arrays, g, {2: g.reshape(-1, D)}
     if name == "linear":
         op, arrays = lambda ts: linear(*ts), [draw(B, T, 6), draw(6, D), draw(D)]
         return op, arrays, g, {2: g.reshape(-1, D)}
@@ -533,7 +573,7 @@ class TestCccLoss:
             p = Tensor(pred, requires_grad=True)
             loss = loss_fn(p, target, mask)
             assert len(loss._node.parents) == 1 and loss._node.parents[0] is p
-            (loss * 3.0).backward()
+            probed(loss, np.asarray(3.0, dtype)).backward()
             assert p.grad.dtype == dtype
             [ref] = complex_step_grads(lambda z: numpy_ccc_loss(z[0], target, mask),
                                        [pred.astype(np.float64)])

@@ -6,10 +6,12 @@ from dctm.errors import ShapeError
 from dctm.fusion import ConcatFusion, GatedFusion, GmuUnit
 from dctm.layers import capture
 from dctm.tensor import Tensor
+from dctm.verify import probed
 
 
 def stream(rng, b, c, t):
-    return Tensor(rng.standard_normal((b, c, t)).astype(np.float32))
+    """(B, T, C) tokens, as a conv stack returns them."""
+    return Tensor(rng.standard_normal((b, t, c)).astype(np.float32))
 
 
 class TestConcatFusion:
@@ -21,7 +23,7 @@ class TestConcatFusion:
 
     def test_zero_streams_give_bias_row(self, rng):
         fuse = ConcatFusion([4, 4], hidden=8, rng=rng)
-        streams = [Tensor(np.zeros((1, 4, 5), dtype=np.float32)) for _ in range(2)]
+        streams = [Tensor(np.zeros((1, 5, 4), dtype=np.float32)) for _ in range(2)]
         out = fuse(streams, ["a", "b"]).data
         np.testing.assert_allclose(out, np.broadcast_to(fuse.proj.bias.data, out.shape))
 
@@ -147,6 +149,6 @@ class TestGatedFusion:
             p.requires_grad = True
         streams = [stream(rng, 1, 3, 5) for _ in range(2)]
         out = fuse(streams, ["a", "b"])
-        out.sum().backward()
+        probed(out, np.ones(out.shape, out.dtype)).backward()
         for name, p in fuse.named_parameters():
             assert p.grad is not None, name

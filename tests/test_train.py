@@ -262,6 +262,22 @@ class TestTrainRun:
         train_run(tiny_cfg(root=root, epochs=2), tmp_path / "run")
         assert len(calls) == 2
 
+    def test_single_modality_run_trains_and_evaluates(self, run_env, tmp_path):
+        """A run that loads one modality normalizes the streams it loaded,
+        and ``evaluate_run`` reads its ``norm_stats.csv`` back."""
+        _, root, _, _ = run_env
+        cfg = tiny_cfg(root=root, epochs=1,
+                       data=DataConfig(root=str(root), window=32, stride=16,
+                                       modalities=("voice",)))
+        run = tmp_path / "run"
+        train_run(cfg, run)
+        stats = (run / "norm_stats.csv").read_text().splitlines()
+        assert stats == ["name,mean,std"] + [line for line in stats[1:]
+                                             if line.startswith("voice.f")]
+        assert len(stats) == 1 + 3
+        report = evaluate_run(run)
+        assert np.isfinite(report.ccc_overall) and len(report.per_session) == 2
+
     def test_artifacts_written(self, run_env):
         _, _, run, _ = run_env
         for name in ("config.txt", "norm_stats.csv", "meta.json",

@@ -12,6 +12,7 @@ from dctm.transformer import (
     TransformerSettings,
     positional_encoding,
 )
+from dctm.verify import probed
 
 
 def small_settings(**kw):
@@ -166,14 +167,22 @@ class TestEncoderDecoder:
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_permutation_equivariant_without_positions(self, rng):
-        # no positional encoding and no dropout: permuting tokens permutes outputs
-        cfg = small_settings(use_positional=False)
-        model = EncoderDecoder(cfg, rng)
+        # the layers without the positional add, and no dropout: permuting
+        # tokens permutes outputs
+        model = _scramble_zero_weights(EncoderDecoder(small_settings(), rng), rng)
+
+        def layers(x):
+            memory = Tensor(x)
+            for layer in model.encoder:
+                memory = layer(memory, rng, False)
+            out = Tensor(x)
+            for layer in model.decoder:
+                out = layer(out, memory, rng, False)
+            return out.data
+
         x = rng.standard_normal((1, 6, 16))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        base = model(Tensor(x), rng).data
-        shuffled = model(Tensor(x[:, perm]), rng).data
-        np.testing.assert_allclose(shuffled, base[:, perm], atol=1e-9)
+        np.testing.assert_allclose(layers(x[:, perm]), layers(x)[:, perm], atol=1e-9)
 
     def test_positions_break_equivariance(self, rng):
         model = EncoderDecoder(small_settings(), rng)
@@ -222,6 +231,6 @@ class TestEncoderDecoder:
         for _, p in list(model.named_parameters()) + list(head.named_parameters()):
             p.requires_grad = True
         x = Tensor(rng.standard_normal((1, 4, 16)).astype(np.float32))
-        head(model(x, rng)).sum().backward()
+        probed(head(model(x, rng)), np.ones((1, 4), np.float32)).backward()
         for name, p in list(model.named_parameters()) + list(head.named_parameters()):
             assert p.grad is not None, name

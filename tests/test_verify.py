@@ -20,9 +20,8 @@ from dctm.verify import (
 )
 
 EXPECTED_OPS = {
-    "add", "mul", "tanh", "sigmoid", "relu", "linear", "feed_forward",
-    "layer_norm", "residual_norm", "dilated_conv1d", "attention", "gmu", "sigmoid_head",
-    "ccc_loss",
+    "linear", "feed_forward", "layer_norm", "residual_norm", "conv_stack", "attention", "gmu",
+    "sigmoid_head", "ccc_loss",
 }
 
 
@@ -63,7 +62,7 @@ class TestSabotage:
             return 1.01 * true_grad(*args, **kwargs)
 
         monkeypatch.setattr(dctm.conv, "_conv_input_grad", skewed)
-        assert failed(check_gradient_suite(n_cases=4, seed=0)) == ["grad/dilated_conv1d"]
+        assert failed(check_gradient_suite(n_cases=4, seed=0)) == ["grad/conv_stack"]
 
     def test_widened_float32_conv_gradient_is_caught(self, monkeypatch):
         """A float32 conv whose input gradient comes back float64 has the
@@ -71,14 +70,14 @@ class TestSabotage:
         true_grad = dctm.conv._conv_input_grad
         monkeypatch.setattr(dctm.conv, "_conv_input_grad",
                             lambda *a, **k: true_grad(*a, **k).astype(np.float64))
-        assert failed(check_gradient_suite(n_cases=4, seed=0)) == ["grad/dilated_conv1d"]
+        assert failed(check_gradient_suite(n_cases=4, seed=0)) == ["grad/conv_stack"]
 
     def test_cli_verify_exits_3_on_failure(self, monkeypatch, capsys):
         true_grad = dctm.conv._conv_input_grad
         monkeypatch.setattr(dctm.conv, "_conv_input_grad",
                             lambda *a, **k: 1.01 * true_grad(*a, **k))
         assert main(["verify", "--grad-cases", "4"]) == EXIT_VERIFY
-        assert "[FAIL] grad/dilated_conv1d" in capsys.readouterr().out
+        assert "[FAIL] grad/conv_stack" in capsys.readouterr().out
 
     def test_skewed_ccc_oracle_is_caught(self, monkeypatch):
         # skew the independent oracle instead of the implementation: any
@@ -93,7 +92,7 @@ class TestSabotage:
 
 ROOT = Path(__file__).resolve().parents[1]
 ORACLE = {"complex_step_grads", "numpy_layer_norm", "numpy_attention_block", "numpy_feed_forward",
-          "numpy_gated_unit", "numpy_conv1d", "numpy_ccc_loss"}
+          "numpy_gated_unit", "numpy_conv1d", "numpy_conv_stack", "numpy_ccc_loss"}
 
 
 def test_the_gradient_oracle_is_defined_once_and_gradcheck_is_gone():
