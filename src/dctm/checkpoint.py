@@ -1,14 +1,16 @@
-"""Binary weight container.
+"""Binary weight container: a parameter arena's bytes behind its layout.
 
-Layout: magic b"DCTM1", then a u64 record count, then per record:
-u64 name length, UTF-8 name, u64 rank, rank x u64 dims, and the payload
-as little-endian float32. All integers little-endian. Round-trips are
-bit-exact for float32 weights.
+Layout (DCTM2): magic b"DCTM2", a little-endian u64 header length, a
+UTF-8 JSON header ``{"dtype": "<f4" | "<f8", "records": [[name, [dims...]],
+...]}`` naming every parameter and its shape in arena
+(``named_parameters()``) order, then the arena's flat buffer in that
+dtype. This is the safetensors layout (https://github.com/huggingface/safetensors)
+for one buffer. A round trip is bit-exact at either precision.
 """
 
 from __future__ import annotations
 
-import math
+import json
 import os
 import struct
 from pathlib import Path
@@ -18,107 +20,106 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .files import atomic_write
 
-MAGIC = b"DCTM1"
-RECORD_DTYPE = np.dtype("<f4")
+MAGIC = b"DCTM2"
+DTYPES = ("<f4", "<f8")
 
 
-def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]]) -> None:
-    """Write the records through `atomic_write`: a save that fails or is
-    killed never leaves ``path`` truncated."""
+def _records(arena) -> list:
+    return [[name, list(p.data.shape)] for name, p in arena.params]
+
+
+def save_checkpoint(path, arena, flat: np.ndarray) -> None:
+    """Write ``flat``, a buffer in ``arena``'s layout (``arena.flat`` or a
+    copy of it), behind ``arena``'s header, through `atomic_write`: a save
+    that fails or is killed never leaves ``path`` truncated."""
+    if flat.dtype != arena.flat.dtype or flat.shape != arena.flat.shape:
+        raise ValueError(f"a {flat.dtype} buffer of shape {flat.shape} is not in the "
+                         f"arena's layout ({arena.flat.dtype}, {arena.flat.shape})")
+    header = json.dumps({"dtype": flat.dtype.str, "records": _records(arena)}).encode()
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(named_arrays)))
-        for name, arr in named_arrays:
-            payload = np.asarray(arr, RECORD_DTYPE)   # a 0-d array stays rank 0
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", payload.ndim))
-            for d in payload.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(payload.tobytes())
+        fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
+        fh.write(memoryview(flat))
 
 
-def _read_table(fh, path: Path) -> dict[str, tuple[int, tuple[int, ...], int]]:
-    """{name: (record index, shape, payload offset)} in file order, seeking
-    past every payload. A malformed or truncated file raises `DataError`."""
-    size = os.fstat(fh.fileno()).st_size
-    if fh.read(len(MAGIC)) != MAGIC:
-        raise DataError(f"{path}: bad magic, not a DCTM1 checkpoint")
-    off = len(MAGIC)
-
-    def skip(n: int, what: str) -> int:
-        """Move past ``n`` bytes of ``what``; their offset."""
-        nonlocal off
-        if n > size - off:
-            raise DataError(f"{path}: truncated in {what}: needs {n} bytes at offset "
-                            f"{off}, {size - off} left")
-        off += n
-        return off - n
-
-    def take(n: int, what: str) -> bytes:
-        skip(n, what)
-        return fh.read(n)
-
-    def read_u64(what: str) -> int:
-        return struct.unpack("<Q", take(8, what))[0]
-
-    table = {}
-    for i in range(read_u64("the record count")):
-        record = f"record {i}"
-        try:
-            name = str(take(read_u64(f"{record} name length"), f"{record} name"), "utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: {record} name is not UTF-8") from None
-        record = f"record {i} ('{name}')"
-        rank = read_u64(f"{record} rank")
-        dims = tuple(read_u64(f"{record} shape") for _ in range(rank))
-        table[name] = i, dims, skip(RECORD_DTYPE.itemsize * math.prod(dims),
-                                    f"{record} payload")
-        fh.seek(off)
-    if off != size:
-        raise DataError(f"{path}: {size - off} trailing bytes after last record")
-    return table
+def _layout_error(got: list, want: list) -> str:
+    """How the file's records differ from the arena's."""
+    got_names, want_names = [r[0] for r in got], [r[0] for r in want]
+    missing, extra = set(want_names) - set(got_names), set(got_names) - set(want_names)
+    if missing or extra:
+        return (f"checkpoint/model mismatch: missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}")
+    for i, ((name, dims), (want_name, want_dims)) in enumerate(zip(got, want)):
+        if name != want_name:
+            return f"record {i} is '{name}' where the model has '{want_name}': out of order"
+        if dims != want_dims:
+            return (f"checkpoint tensor '{name}' has shape {tuple(dims)}, "
+                    f"model expects {tuple(want_dims)}")
+    return f"{len(got)} records where the model has {len(want)}"
 
 
-def load_checkpoint(path, params) -> None:
-    """Read the checkpoint at ``path`` into ``params``, (name, Tensor) pairs
-    such as ``model.named_parameters()``, matching records by name.
+def _is_record(r) -> bool:
+    return (isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
+            and isinstance(r[1], list) and all(type(d) is int and d >= 0 for d in r[1]))
 
-    A malformed file, or a missing, unexpected or mis-shaped record, raises
-    `DataError` before any parameter is written. Each payload is then read
-    into its parameter's array, which stays bound to ``.data``: straight
-    from the file where the array is contiguous little-endian float32, else
-    through a one-record scratch cast to the array's dtype. A record holding
-    NaN or ±inf raises `NumericalError` once it is read, naming the first
-    such value."""
+
+def load_checkpoint(path, arena) -> None:
+    """Read the checkpoint at ``path`` into ``arena``, a `layers.Arena` such
+    as ``model.arena``.
+
+    A bad magic (a DCTM1 file is named as such), a truncated or malformed
+    header, an unsupported dtype, records that differ from the arena's in
+    name, order or shape, a truncated payload and trailing bytes raise
+    `DataError` before anything is written. The payload is then read with
+    one `readinto` straight into ``arena.flat``; only a file of another
+    dtype than the arena's goes through one scratch of its dtype and one
+    cast. A NaN or ±inf then raises `NumericalError` naming its parameter
+    and index."""
     path = Path(path)
-    params = list(params)
     with open(path, "rb") as fh:
-        table = _read_table(fh, path)
-        names = {name for name, _ in params}
-        missing, extra = names - set(table), set(table) - names
-        if missing or extra:
-            raise DataError(f"checkpoint/model mismatch: missing {sorted(missing)}, "
-                            f"unexpected {sorted(extra)}")
-        for name, p in params:
-            if table[name][1] != p.data.shape:
-                raise DataError(f"checkpoint tensor '{name}' has shape {table[name][1]}, "
-                                f"model expects {tuple(p.data.shape)}")
-        for name, p in params:
-            i, dims, offset = table[name]
-            direct = (p.data.dtype == RECORD_DTYPE and p.data.flags.c_contiguous
-                      and p.data.flags.writeable)
-            record = p.data if direct else np.empty(dims, RECORD_DTYPE)
-            fh.seek(offset)
-            got = fh.readinto(record.reshape(-1).view(np.uint8))
-            if got != record.nbytes:
-                raise DataError(f"{path}: truncated in record {i} ('{name}') payload: needs "
-                                f"{record.nbytes} bytes at offset {offset}, {got} left")
-            finite = np.isfinite(record)
-            if not finite.all():
-                at = np.unravel_index(int(np.argmin(finite)), dims)
-                raise NumericalError(f"checkpoint tensor '{name}' holds {record[at]} at index "
-                                     f"{tuple(map(int, at))}")
-            if not direct:
-                p.data[...] = record
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            what = ("a DCTM1 file, a format this version no longer reads"
+                    if magic == b"DCTM1" else "not a DCTM2 checkpoint")
+            raise DataError(f"{path}: bad magic, {what}")
+
+        def need(n: int, what: str) -> None:
+            left = size - fh.tell()
+            if n > left:
+                raise DataError(f"{path}: truncated in {what}: needs {n} bytes at offset "
+                                f"{fh.tell()}, {left} left")
+
+        need(8, "the header length")
+        (n,) = struct.unpack("<Q", fh.read(8))
+        need(n, "the header")
+        try:
+            header = json.loads(str(fh.read(n), "utf-8"))
+        except ValueError as e:
+            raise DataError(f"{path}: malformed header: {e}") from None
+        if not (isinstance(header, dict) and header.keys() == {"dtype", "records"}
+                and isinstance(header["records"], list)
+                and all(map(_is_record, header["records"]))):
+            raise DataError(f"{path}: malformed header: want {{'dtype': ..., 'records': "
+                            f"[[name, [dims...]], ...]}}")
+        if header["dtype"] not in DTYPES:
+            raise DataError(f"{path}: unsupported dtype {header['dtype']!r}, "
+                            f"not one of {', '.join(DTYPES)}")
+        want = _records(arena)
+        if header["records"] != want:
+            raise DataError(f"{path}: {_layout_error(header['records'], want)}")
+        dtype = np.dtype(header["dtype"])
+        nbytes, left = arena.flat.size * dtype.itemsize, size - fh.tell()
+        if left < nbytes:
+            where, _ = arena.locate(left // dtype.itemsize)
+            need(nbytes, f"the payload (record '{where}')")
+        if left > nbytes:
+            raise DataError(f"{path}: {left - nbytes} trailing bytes after the payload")
+        into = arena.flat if arena.flat.dtype == dtype else np.empty(arena.flat.size, dtype)
+        fh.readinto(into.view(np.uint8))
+    if into is not arena.flat:
+        arena.flat[...] = into
+    # NaN and +-inf show in the extremes, found without a mask the arena's size
+    if not (np.isfinite(arena.flat.min(initial=0)) and np.isfinite(arena.flat.max(initial=0))):
+        k = int(np.argmin(np.isfinite(arena.flat)))
+        name, at = arena.locate(k)
+        raise NumericalError(f"checkpoint tensor '{name}' holds {arena.flat[k]} at index {at}")

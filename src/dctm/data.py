@@ -163,10 +163,15 @@ def _read_feature_csv(path: Path):
     infinite = np.isinf(feats)
     if infinite.any():
         i, j = np.argwhere(infinite)[0]
-        lineno = [n for n, line in enumerate(body.split("\n"), start=2) if line][i]
-        raise DataError(f"{path}:{lineno}: non-finite value {feats[i, j]} "
+        raise DataError(f"{path}:{_line_of_row(path, i)}: non-finite value {feats[i, j]} "
                         f"in column {j + 2} ('{names[j]}')")
     return names, np.ascontiguousarray(rows["frame"]), feats
+
+
+def _line_of_row(path: Path, i: int) -> int:
+    """The line number of data row ``i`` of a CSV file; blank lines hold no row."""
+    with open(path) as fh:
+        return [n for n, line in enumerate(fh.read().split("\n")[1:], start=2) if line][i]
 
 
 def _read_labels_csv(path: Path):
@@ -187,13 +192,16 @@ def load_session(root, session_id: str, role: str,
     """Load one (session, role)'s modality files, aligned to the shortest stream.
 
     Streams longer than the common length are truncated and a warning is
-    recorded (severe if more than 5% of frames are dropped). Frames with
-    NaN cells keep the NaN for now — `normalize` imputes them — but are
-    marked invalid.
+    recorded (severe if more than 5% of frames are dropped). Rows are paired
+    by position, so over the common length every file must number its
+    frames as the first modality file does; the first line that does not
+    is a `DataError`. Frames with NaN cells keep the NaN for now —
+    `normalize` imputes them — but are marked invalid.
     """
     base = Path(root) / session_id
     raw = {}
     lengths = {}
+    frame_columns = {}
     for m in modalities:
         path = base / f"{role}.{m}.csv"
         if not path.exists():
@@ -201,16 +209,24 @@ def load_session(root, session_id: str, role: str,
         names, frames, feats = _read_feature_csv(path)
         raw[m] = (names, frames, feats)
         lengths[m] = feats.shape[0]
+        frame_columns[path] = frames
 
     labels = None
     label_path = base / f"{role}.labels.csv"
     if label_path.exists():
-        _, labels = _read_labels_csv(label_path)
+        frame_columns[label_path], labels = _read_labels_csv(label_path)
         lengths["labels"] = labels.shape[0]
     elif require_labels:
         raise DataError(f"missing labels file: {label_path}")
 
     T = min(lengths.values())
+    (first_path, first), *others = frame_columns.items()
+    for path, frames in others:
+        differs = frames[:T] != first[:T]
+        if differs.any():
+            i = int(np.argmax(differs))
+            raise DataError(f"{path}:{_line_of_row(path, i)}: frame {frames[i]} where "
+                            f"{first_path.name} has frame {first[i]}")
     warnings = []
     longest = max(lengths.values())
     if longest != T:

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 
-from .tensor import Tensor, layer_norm, linear, residual_norm, xavier_uniform, zeros, ones
+from .tensor import Tensor, linear, residual_norm, xavier_uniform, zeros, ones
 
 
 _capture = threading.local()
@@ -90,9 +90,12 @@ class Arena:
         return [flat[s:e].reshape(p.data.shape)
                 for s, e, (_, p) in zip(self.starts, self.starts[1:], self.params)]
 
-    def name_at(self, index: int) -> str:
-        """The name of the parameter holding flat element ``index``."""
-        return self.params[int(np.searchsorted(self.starts, index, side="right")) - 1][0]
+    def locate(self, index: int) -> tuple[str, tuple[int, ...]]:
+        """The name of the parameter holding flat element ``index``, and the
+        element's index in that parameter."""
+        i = int(np.searchsorted(self.starts, index, side="right")) - 1
+        name, p = self.params[i]
+        return name, tuple(map(int, np.unravel_index(index - self.starts[i], p.data.shape)))
 
 
 class ModuleList(Module):
@@ -140,12 +143,9 @@ class LayerNorm(Module):
         self.gain = ones((dim,))
         self.bias = zeros((dim,))
 
-    def __call__(self, x: Tensor, branch: Tensor | None = None,
-                 drop: tuple | None = None) -> Tensor:
-        """``norm(x)``, or the post-norm residual ``norm(x + dropout(branch))``
-        with ``drop`` from ``dropout_mask``."""
-        if branch is None:
-            return layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, branch: Tensor, drop: tuple | None) -> Tensor:
+        """The post-norm residual ``norm(x + dropout(branch))`` with ``drop``
+        from ``dropout_mask``."""
         return residual_norm(x, branch, drop, self.gain, self.bias)
 
 

@@ -72,7 +72,7 @@ class Adam:
             g = self._gather(k)
             finite = np.isfinite(g)
             if not finite.all():
-                name = self.arena.name_at(k * CHUNK + int(np.argmin(finite)))
+                name, _ = self.arena.locate(k * CHUNK + int(np.argmin(finite)))
                 raise NumericalError(f"non-finite gradient in parameter '{name}' "
                                      f"at step {self.t + 1}")
         self.t += 1

@@ -20,8 +20,8 @@ freed during the walk. ``no_grad`` switches recording off for the
 calling thread only.
 
 Each layer of the model is one fused op with a closed-form backward:
-``linear``, ``feed_forward``, ``layer_norm``, ``residual_norm``,
-``attention_block`` and ``gated_unit`` here, ``conv_stack`` in
+``linear``, ``feed_forward``, ``residual_norm``, ``attention_block``
+and ``gated_unit`` here, ``conv_stack`` in
 ``conv.py`` and ``ccc_loss`` in ``metrics.py``. A fused op is one tape
 node, whatever number of GEMMs it runs; the few pointwise steps between
 layers (the positional add, the head's sigmoid) are inline ``Tensor._op``
@@ -241,16 +241,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     return Tensor._op(out.reshape(*x.shape[:-1], O), (x, w1, b1, w2, b2), bw)
 
 
-def _layer_norm_forward(c: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """(out, xhat, inv) of centred rows ``c``, a buffer the calling op owns:
-    ``c`` is scaled in place into ``xhat``."""
-    inv = (np.einsum("...i,...i->...", c, c)[..., None] / c.shape[-1] + 1e-5) ** -0.5
-    c *= inv
-    out = c * gain
-    out += bias
-    return out, c, inv
-
-
 def _row_mean(a: np.ndarray) -> np.ndarray:
     """Mean over the last axis, keeping it as length 1. An ``einsum``
     reduction, not BLAS, so a row's mean does not depend on the other rows."""
@@ -267,30 +257,22 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain:
     return gx, ones @ (g * xhat).reshape(g2.shape), ones @ g2
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply affine.
-
-    Population variance with eps 1e-5. One tape node; the backward is the
-    closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
-    normalized input ``xhat`` and inverse deviation ``inv``.
-    """
-    c = x.data - _row_mean(x.data)
-    gn = gain.data
-    out, xhat, inv = _layer_norm_forward(c, gn, bias.data)
-    return Tensor._op(out, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gn))
-
-
 def residual_norm(x: Tensor, y: Tensor, drop: tuple | None, gain: Tensor,
                   bias: Tensor) -> Tensor:
-    """``layer_norm(x + dropout(y))`` as one tape node: a post-norm residual.
+    """``norm(x + dropout(y))`` as one tape node: a post-norm residual.
 
     ``drop`` is the inverted dropout of branch ``y``: a ``(keep, scale)``
     pair of a bool mask shaped like ``y`` and ``1 / (1 - rate)`` in y's
     dtype (see ``layers.dropout_mask``), or None for no dropout. The branch
     is ``(y * scale) * keep``, which rounds exactly as ``y`` times the float
-    multiplier ``keep * scale`` would, signed zeros included. The backward
-    is ``layer_norm``'s; ``x`` receives its input gradient ``gs`` and ``y``
-    ``(gs * scale) * keep``. The node keeps the mask, not ``y``.
+    multiplier ``keep * scale`` would, signed zeros included.
+
+    The norm takes the last axis to zero mean and unit population variance
+    (eps 1e-5), then applies ``gain`` and ``bias``. The backward is the
+    closed form of Ba et al. 2016 (arXiv 1607.06450) in terms of the saved
+    normalized sum ``xhat`` and inverse deviation ``inv``; ``x`` receives
+    its input gradient ``gs`` and ``y`` ``(gs * scale) * keep``. The node
+    keeps the mask, not ``y``.
     """
     if drop is None:
         s = x.data + y.data
@@ -300,8 +282,12 @@ def residual_norm(x: Tensor, y: Tensor, drop: tuple | None, gain: Tensor,
         s *= keep
         s += x.data
     s -= _row_mean(s)
+    inv = (np.einsum("...i,...i->...", s, s)[..., None] / s.shape[-1] + 1e-5) ** -0.5
+    xhat = s
+    xhat *= inv     # the centred sum's buffer becomes the saved normalized input
     gn = gain.data
-    out, xhat, inv = _layer_norm_forward(s, gn, bias.data)
+    out = xhat * gn
+    out += bias.data
 
     def bw(g):
         gs, ggain, gbias = _layer_norm_backward(g, xhat, inv, gn)

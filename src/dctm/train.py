@@ -251,17 +251,16 @@ class FitResult:
     train_ccc_curve: list[float]
     val_ccc_curve: list[float]
     best_epoch: int
-    best_state: dict[str, np.ndarray]
-    last_state: dict[str, np.ndarray]
+    best_state: np.ndarray  # flat copies of model.arena.flat
+    last_state: np.ndarray
     best_val_score: tuple[CccResult, list[SessionScore]] | None  # None without val
     wall_time_s: float
     warnings: list[str]
 
 
-def _state_of(model: DctmModel) -> dict[str, np.ndarray]:
-    """The weights as one copy of the model's arena: {name: view} in record order."""
-    arena = model.arena
-    return {name: v for (name, _), v in zip(arena.params, arena.views(arena.flat.copy()))}
+def _state_of(model: DctmModel) -> np.ndarray:
+    """The weights as one copy of the model's arena."""
+    return model.arena.flat.copy()
 
 
 def fit(cfg: DctmConfig, train_sessions: list[Session],
@@ -375,10 +374,8 @@ def train_run(cfg: DctmConfig, out_dir, log=None) -> EvalReport:
         for key in sorted(flat):
             fh.write(f"{key} = {flat[key]}\n")
     result.stats.save(out / "norm_stats.csv")
-    save_checkpoint(out / "checkpoint.best.dctm",
-                    [(n, a) for n, a in result.best_state.items()])
-    save_checkpoint(out / "checkpoint.last.dctm",
-                    [(n, a) for n, a in result.last_state.items()])
+    save_checkpoint(out / "checkpoint.best.dctm", result.model.arena, result.best_state)
+    save_checkpoint(out / "checkpoint.last.dctm", result.model.arena, result.last_state)
     with atomic_write(out / "meta.json") as fh:
         json.dump({
             "feature_dims": result.feature_dims,
@@ -439,7 +436,7 @@ def _open_split(run_dir, split: str, which: str, overrides, require_labels: bool
     if which not in ("best", "last"):
         raise ConfigError(f"checkpoint selector must be 'best' or 'last', got {which!r}")
     path = Path(run_dir) / f"checkpoint.{which}.dctm"
-    load_checkpoint(path, model.named_parameters())
+    load_checkpoint(path, model.arena)
     sessions = load_split_sessions(cfg.data.root, split, cfg.data.subject,
                                    cfg.data.modalities, require_labels=require_labels)
     if not sessions:

@@ -25,8 +25,7 @@ from .model import conv_specs
 from .reference import (attention_single_head_loop, ccc_two_pass, complex_step_grads,
                         conv1d_direct, conv1d_flip, numpy_attention_block, numpy_ccc_loss,
                         numpy_conv_stack, numpy_feed_forward, numpy_gated_unit, numpy_layer_norm)
-from .tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
-                     residual_norm)
+from .tensor import Tensor, attention_block, feed_forward, gated_unit, linear, residual_norm
 from .transformer import EncoderDecoder, MultiHeadAttention, RegressionHead, TransformerSettings
 
 # the largest |got - want| / (1 + |want|) a gradient check passes, per dtype
@@ -219,8 +218,6 @@ def _grad_cases(rng):
         ("linear", lambda: (linear_arrays(), lambda ts: linear(*ts),
                             lambda z: z[0] @ z[1] + z[2])),
         ("feed_forward", feed_forward_case),
-        ("layer_norm", lambda: (layer_norm_arrays(), lambda ts: layer_norm(*ts),
-                                lambda z: numpy_layer_norm(*z))),
         ("residual_norm", residual_norm_case),
         ("conv_stack", conv_case),
         ("attention", attention_case),

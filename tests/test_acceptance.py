@@ -296,9 +296,8 @@ def test_criterion_10_determinism_and_persistence(grid_root, tmp_path):
 
     # checkpoint round trip: load -> save must be byte-identical
     _, model, _, _ = load_run(run_a)
-    load_checkpoint(run_a / "checkpoint.best.dctm", model.named_parameters())
-    save_checkpoint(tmp_path / "relay.dctm",
-                    [(name, p.data) for name, p in model.named_parameters()])
+    load_checkpoint(run_a / "checkpoint.best.dctm", model.arena)
+    save_checkpoint(tmp_path / "relay.dctm", model.arena, model.arena.flat)
     bytes_ok = ((run_a / "checkpoint.best.dctm").read_bytes()
                 == (tmp_path / "relay.dctm").read_bytes())
 

@@ -240,15 +240,15 @@ class TestTooFewValidFrames:
 
 
 def poisoned_run(run, tmp_path, poison):
-    """A copy of ``run`` whose best checkpoint has ``poison(records)`` applied."""
+    """A copy of ``run`` whose best checkpoint has ``poison(records)`` applied
+    to its {name: array} views."""
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
     path = copy / "checkpoint.best.dctm"
     _, model, _, _ = load_run(copy)
-    load_checkpoint(path, model.named_parameters())
-    records = {name: p.data for name, p in model.named_parameters()}
-    poison(records)
-    save_checkpoint(path, list(records.items()))
+    load_checkpoint(path, model.arena)
+    poison({name: p.data for name, p in model.named_parameters()})
+    save_checkpoint(path, model.arena, model.arena.flat)
     return copy
 
 

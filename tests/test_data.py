@@ -105,6 +105,24 @@ class TestLoadSession:
         with pytest.raises(DataError, match=r"voice\.csv:5: non-finite .* column 3 \('b'\)"):
             load_session(tmp_path, "s000", "expert")
 
+    @pytest.mark.parametrize("name, first, line, frame", [
+        ("voice", 0, 3, 50), ("labels", 40, 43, 48)])
+    def test_frame_columns_that_disagree_name_the_first_line(self, tmp_path, name, first,
+                                                             line, frame):
+        """Rows are paired by position, so a file that numbers its frames
+        unlike the first modality file is refused at its first differing line
+        (head and pose 0-99, voice 50-149 or labels with a gap at frame 40)."""
+        write_toy_session(tmp_path, T=100)
+        path = tmp_path / "s000" / f"expert.{name}.csv"
+        header, *rows = path.read_text().splitlines()
+        shift = 50 if name == "voice" else 8
+        rows = [f"{t + shift if t >= first else t},{row.split(',', 1)[1]}"
+                for t, row in enumerate(rows)]
+        path.write_text("\n".join([header, "", *rows]) + "\n")  # a blank line holds no row
+        with pytest.raises(DataError, match=rf"expert\.{name}\.csv:{line}: frame {frame} "
+                                            rf"where expert\.head\.csv has frame {first}"):
+            load_session(tmp_path, "s000", "expert")
+
     def test_nan_cells_mask_frames(self, tmp_path):
         write_toy_session(tmp_path, T=6)
         path = tmp_path / "s000" / "expert.voice.csv"

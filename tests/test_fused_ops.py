@@ -1,12 +1,13 @@
-"""The fused ops ``linear``, ``feed_forward``, ``layer_norm``,
-``residual_norm``, ``attention_block``, ``gated_unit``, ``conv_stack``
-and ``ccc_loss``, and the gated fusion's single-modality tanh, against
-numpy, loop and complex-step references, in float64 and float32.
+"""The fused ops ``linear``, ``feed_forward``, ``residual_norm``,
+``attention_block``, ``gated_unit``, ``conv_stack`` and ``ccc_loss``, and
+the gated fusion's single-modality tanh, against numpy, loop and
+complex-step references, in float64 and float32. The layer norm alone is
+checked as ``residual_norm`` with a zero branch.
 
 Each op is one tape node with a hand-written backward, so these tests pin
 its forward to an independent formula, its backward to a reference
 gradient, and its dtype: a float32 input gives a float32 output and
-float32 gradients. The ``feed_forward``, ``layer_norm``,
+float32 gradients. The ``feed_forward``, ``residual_norm``,
 ``attention_block``, ``gated_unit``, ``conv_stack`` and ``ccc_loss``
 references differentiate plain NumPy forwards by complex step, which is
 exact to rounding; both live in ``dctm.reference``, which ``dctm verify``
@@ -33,8 +34,7 @@ from dctm.model import DctmModel
 from dctm.reference import (attention_single_head_loop, complex_step_grads, numpy_attention_block,
                             numpy_ccc_loss, numpy_conv_stack, numpy_feed_forward,
                             numpy_gated_unit, numpy_layer_norm)
-from dctm.tensor import (Tensor, attention_block, feed_forward, gated_unit, layer_norm, linear,
-                         residual_norm)
+from dctm.tensor import Tensor, attention_block, feed_forward, gated_unit, linear, residual_norm
 from dctm.transformer import TransformerSettings
 from dctm.verify import TOL, probed
 
@@ -52,6 +52,12 @@ def draw_input(rng, case, D, dtype):
         assert not x.flags.c_contiguous
         return x
     return rng.standard_normal((B, T, D)).astype(dtype)
+
+
+def layer_norm(ts):
+    """The norm alone: ``residual_norm`` of (x, gain, bias) with a zero branch."""
+    x, gain, bias = ts
+    return residual_norm(x, Tensor(np.zeros(x.shape, x.dtype)), None, gain, bias)
 
 
 def grads_of(op, arrays, probe):
@@ -104,7 +110,7 @@ def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
     gain = rng.standard_normal(D).astype(dtype)
     bias = rng.standard_normal(D).astype(dtype)
     probe = rng.standard_normal(x.shape)
-    out, grads = grads_of(lambda ts: layer_norm(*ts), [x, gain, bias], probe)
+    out, grads = grads_of(layer_norm, [x, gain, bias], probe)
     assert_dtype(out, grads, dtype)
 
     arrays64 = [a.astype(np.float64) for a in (x, gain, bias)]
@@ -116,8 +122,8 @@ def test_layer_norm_matches_numpy_and_composed_backward(rng, case, dtype):
 
 def test_complex_step_reference_sees_a_1e9_layer_norm_error(monkeypatch, capsys):
     """An input gradient off by 1e-9 relative fails ``dctm verify``'s float64
-    comparison in the two ops that share ``_layer_norm_backward``, and only
-    there; central differences at relative 1e-4 could not see it."""
+    comparison in ``residual_norm``, the op that runs ``_layer_norm_backward``,
+    and only there; central differences at relative 1e-4 could not see it."""
     true_backward = dctm.tensor._layer_norm_backward
 
     def skewed(*args):
@@ -126,7 +132,7 @@ def test_complex_step_reference_sees_a_1e9_layer_norm_error(monkeypatch, capsys)
 
     monkeypatch.setattr(dctm.tensor, "_layer_norm_backward", skewed)
     assert main(["verify"]) == EXIT_VERIFY
-    assert "FAILED (2/13): grad/layer_norm, grad/residual_norm\n" in capsys.readouterr().out
+    assert "FAILED (1/12): grad/residual_norm\n" in capsys.readouterr().out
 
 
 def pairs(ts):
@@ -321,8 +327,9 @@ def test_residual_norm_matches_composed_dropout_add_norm(rng, dtype, training):
     drawn = np.random.default_rng(5).random(x.shape) >= rate
     multiplier = drawn / (1.0 - rate) if training else 1.0
     dropped = y * (drawn.astype(dtype) / np.asarray(1.0 - rate, dtype)) if training else y
-    want = layer_norm(Tensor(x + dropped), Tensor(gain), Tensor(bias)).data
+    want = layer_norm([Tensor(x + dropped), Tensor(gain), Tensor(bias)]).data
     assert np.array_equal(out.data, want)
+    assert_close(out.data, numpy_layer_norm(x + dropped, gain, bias), dtype)
 
     arrays64 = [a.astype(np.float64) for a in (x, y, gain, bias)]
     ref = complex_step_grads(
@@ -351,7 +358,8 @@ def test_layer_norm_module_routes_the_residual_through_one_node(rng):
     y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     out = norm(x, y, None)
     assert out._node.parents == (x, y, norm.gain, norm.bias)
-    assert np.array_equal(out.data, norm(Tensor(x.data + y.data)).data)
+    assert_close(out.data, numpy_layer_norm(x.data + y.data, np.ones(4), np.zeros(4)),
+                 np.float64)
 
 
 # (B, C_in, T) and per layer (C_out, K, dilation); "short" cases have T
@@ -438,7 +446,7 @@ KEEP = {dtype: dropout_mask(Tensor(np.zeros((2, 3, 4), dtype)), 0.5,
 # op over a list of tensors (returning its output, or (output, weights)) and input shapes
 NO_MUTATION = {
     "linear": (lambda ts: linear(*ts), [(2, 3, 4), (4, 5), (5,)]),
-    "layer_norm": (lambda ts: layer_norm(*ts), [(2, 3, 4), (4,), (4,)]),
+    "layer_norm": (layer_norm, [(2, 3, 4), (4,), (4,)]),
     "residual_norm": (residual_norm_op(False), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "residual_norm_dropout": (residual_norm_op(True), [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "feed_forward": (lambda ts: feed_forward(*ts), [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
@@ -493,7 +501,7 @@ def column_sum_case(rng, name, dtype):
         return op, arrays, g, {2: g.reshape(-1, D)}
     unit = np.ones(D), np.zeros(D)
     if name == "layer_norm":
-        op, arrays = lambda ts: layer_norm(*ts), [draw(B, T, D), draw(D), draw(D)]
+        op, arrays = layer_norm, [draw(B, T, D), draw(D), draw(D)]
         xhat = numpy_layer_norm(arrays[0].astype(np.float64), *unit)
     else:
         op = residual_norm_op(False)

@@ -109,9 +109,7 @@ class TestFit:
         assert a.train_ccc_curve == b.train_ccc_curve
         assert a.val_ccc_curve == b.val_ccc_curve
         assert a.best_epoch == b.best_epoch
-        assert set(a.last_state) == set(b.last_state)
-        for name in a.last_state:
-            np.testing.assert_array_equal(a.last_state[name], b.last_state[name])
+        assert a.last_state.tobytes() == b.last_state.tobytes()
 
     def test_best_epoch_is_argmax_of_val_curve(self):
         sessions = tiny_sessions()
@@ -124,9 +122,7 @@ class TestFit:
         result = fit(tiny_cfg(), sessions, [])
         assert result.val_ccc_curve == []
         assert result.best_epoch == 1  # last epoch of 2
-        for name in result.best_state:
-            np.testing.assert_array_equal(result.best_state[name],
-                                          result.last_state[name])
+        np.testing.assert_array_equal(result.best_state, result.last_state)
 
     def test_without_validation_the_weights_are_copied_once(self, monkeypatch):
         copies = []
@@ -140,9 +136,8 @@ class TestFit:
         result = fit(tiny_cfg(epochs=3), tiny_sessions(), [])
         assert len(copies) == 1
         assert result.best_state is result.last_state and result.best_epoch == 2
-        for name, p in result.model.named_parameters():
-            assert result.last_state[name].tobytes() == p.data.tobytes()
-            assert not np.shares_memory(result.last_state[name], p.data)
+        assert result.last_state.tobytes() == result.model.arena.flat.tobytes()
+        assert not np.shares_memory(result.last_state, result.model.arena.flat)
 
     def test_no_module_keeps_an_array_after_fit(self):
         sessions = tiny_sessions()
@@ -171,8 +166,7 @@ class TestFit:
             one, three = results
             assert one.loss_curve == three.loss_curve
             assert one.val_ccc_curve == three.val_ccc_curve
-            for name, weights in one.last_state.items():
-                assert weights.tobytes() == three.last_state[name].tobytes(), name
+            assert one.last_state.tobytes() == three.last_state.tobytes()
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -325,21 +319,20 @@ class TestParameterArena:
         sessions = tiny_sessions()
         result = fit(tiny_cfg(), sessions[:4], sessions[4:])
         assert_views_of_the_arena(result.model)
-        state = list(result.best_state.values())
-        assert all(a.base is state[0].base for a in state)
-        assert not np.shares_memory(state[0].base, result.model.arena.flat)
+        assert result.best_state.shape == result.model.arena.flat.shape
+        assert not np.shares_memory(result.best_state, result.model.arena.flat)
 
     def test_after_load_run_and_restore(self, run_env):
         _, _, run, _ = run_env
         _, model, _, _ = load_run(run)
         assert_views_of_the_arena(model)
-        load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
+        load_checkpoint(run / "checkpoint.best.dctm", model.arena)
         assert_views_of_the_arena(model)
         assert np.any(model.arena.flat)
 
     def test_opening_a_run_holds_the_arena_and_little_else(self, tmp_path):
         """`load_run` builds a model owning no parameter memory but its
-        arena, and `load_checkpoint` reads the records straight into it:
+        arena, and `load_checkpoint` reads the payload straight into it:
         the traced peak of both is the arena plus 1 MiB at the default
         architecture (about 7.6 MiB of float32 weights)."""
         dims = {"head": 4, "pose": 5, "voice": 3}
@@ -349,14 +342,13 @@ class TestParameterArena:
         (run / "config.txt").write_text("")     # every setting at its default
         (run / "meta.json").write_text(json.dumps({"feature_dims": dims}))
         normalize(tiny_sessions())[1].save(run / "norm_stats.csv")
-        save_checkpoint(run / "checkpoint.best.dctm",
-                        [(name, p.data) for name, p in drawn.named_parameters()])
+        save_checkpoint(run / "checkpoint.best.dctm", drawn.arena, drawn.arena.flat)
         tracemalloc.start()
         try:
             _, model, _, _ = load_run(run)
             for name, p in model.named_parameters():
                 assert np.shares_memory(p.data, model.arena.flat), name
-            load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
+            load_checkpoint(run / "checkpoint.best.dctm", model.arena)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -786,7 +778,7 @@ class TestScoreRun:
         cfg = resolve_config(run / "config.txt")
         model = DctmModel(cfg, json.loads((run / "meta.json").read_text())["feature_dims"],
                           np.random.default_rng(cfg.seed))
-        load_checkpoint(run / "checkpoint.best.dctm", model.named_parameters())
+        load_checkpoint(run / "checkpoint.best.dctm", model.arena)
         sessions, _ = normalize(load_split_sessions(root, "val"),
                                 stats=NormStats.load(run / "norm_stats.csv"))
         expected = _serial_scores(model, sessions, cfg)
@@ -807,6 +799,19 @@ class TestScoreRun:
             frames = session.streams["voice"].frame_index
             assert path.read_text() == "frame,score\n" + "".join(
                 f"{int(f)},{float(v)!r}\n" for f, v in zip(frames, expected[session.key]))
+
+    @pytest.mark.parametrize("fusion", ["sa", "gmu"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_evaluation_reproduces_the_training_report(self, score_env, precision, fusion):
+        """The checkpoint holds the weights at the run's precision, so scoring
+        it again gives the training report's CCCs bit for bit."""
+        _, runs = score_env
+        run = runs[precision, fusion]
+        trained = json.loads((run / "report.json").read_text())
+        again = evaluate_run(run, split="val")
+        assert again.ccc_overall == trained["ccc_overall"]
+        assert ([(s.session, s.ccc) for s in again.per_session]
+                == [(s["session"], s["ccc"]) for s in trained["per_session"]])
 
     def test_load_run_draws_no_weights(self, score_env):
         _, runs = score_env

@@ -20,7 +20,7 @@ from dctm.verify import (
 )
 
 EXPECTED_OPS = {
-    "linear", "feed_forward", "layer_norm", "residual_norm", "conv_stack", "attention", "gmu",
+    "linear", "feed_forward", "residual_norm", "conv_stack", "attention", "gmu",
     "sigmoid_head", "ccc_loss",
 }
 
